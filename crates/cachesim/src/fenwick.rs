@@ -15,6 +15,11 @@ impl Fenwick {
         }
     }
 
+    /// Zeroes every position, keeping the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.tree.fill(0);
+    }
+
     /// Largest addressable position.
     pub(crate) fn capacity(&self) -> usize {
         self.tree.len() - 1

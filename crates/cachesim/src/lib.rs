@@ -22,8 +22,9 @@
 //!   the associativity ablation;
 //! * **One-pass design-space grids** — the multi-configuration engine
 //!   producing the full sizes × associativities miss-ratio and traffic
-//!   grid, write-back stats included, in a single trace traversal
-//!   ([`OnePassEngine`], [`one_pass_grid`]);
+//!   grid, write-back stats included, in a single trace traversal,
+//!   task-switch purges and split instruction/data included
+//!   ([`OnePassEngine`], [`SplitOnePassEngine`], [`one_pass_grid`]);
 //! * **Write combining** — §3.3's adjacent-short-write merging for
 //!   write-through systems ([`WriteBuffer`]).
 //!
@@ -68,7 +69,10 @@ pub use config::{CacheConfig, CacheConfigBuilder, FetchPolicy, Mapping, Replacem
 pub use error::ConfigError;
 pub use fast_hash::{FastBuildHasher, FastHashMap, FastHashSet, FxHasher};
 pub use line::Evicted;
-pub use one_pass::{one_pass_grid, GridCell, GridSpec, OnePassEngine, OnePassGrid};
+pub use one_pass::{
+    one_pass_grid, one_pass_split_grid, GridCell, GridSpec, OnePassEngine, OnePassGrid,
+    SplitOnePassEngine,
+};
 pub use sector::{SectorCache, SectorCacheConfig};
 pub use stack::{StackAnalyzer, StackProfile};
 pub use stats::CacheStats;

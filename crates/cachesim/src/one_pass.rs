@@ -43,16 +43,44 @@
 //! Clean evictions need no tracking at all: every miss inserts exactly
 //! one line, so `pushes = misses - lines_resident_at_end`.
 //!
+//! # Task-switch purges
+//!
+//! With [`GridSpec::purge_interval`] set, every cell is flushed before
+//! reference `k·Q` (`k >= 1`), exactly when [`crate::Cache::access`]
+//! purges. A purge empties every cell at the same moment, so LRU
+//! inclusion — and with it the whole argument above — holds afresh in
+//! each purge epoch. At a purge the engine:
+//!
+//! * counts every set bit of the dirty bitset as one dirty push for its
+//!   cell: the line was either evicted dirty earlier in the epoch
+//!   (not yet counted) or is resident dirty and flushed now;
+//! * resets the recency structures and the interning map, so the next
+//!   epoch starts cold (first touches count as compulsory misses again);
+//! * keeps the histograms: misses of all epochs add up.
+//!
+//! Every line inserted during a closed epoch has left the cell by its
+//! purge, so a closed epoch's pushes equal its misses, and
+//! `pushes = misses - lines_resident_at_end` still holds overall with
+//! residency read from the final, open epoch. [`OnePassEngine::observe_slice`]
+//! splits its input at purge boundaries; the per-reference loop inside
+//! an epoch is the unpurged loop unchanged.
+//!
+//! A split instruction/data organisation is two engines, one per half,
+//! purged together on the *global* reference count, as
+//! [`crate::SplitCache`] does: see [`SplitOnePassEngine`].
+//!
 //! # Supported envelope
 //!
 //! LRU replacement, bit-selection set indexing, demand fetch, no
-//! prefetch, no purging; write policies [`WritePolicy::CopyBack`] (both
+//! prefetch, optional task-switch purging, unified or split
+//! organisation; write policies [`WritePolicy::CopyBack`] (both
 //! fetch-on-write settings) and [`WritePolicy::WriteThrough`] with
 //! allocate. Write-through *without* allocate breaks the stack
 //! property (a write miss does not insert, so recency diverges across
 //! cells) and is rejected with [`ConfigError::OnePassUnsupported`].
-//! Within this envelope the per-cell [`CacheStats`] are bit-identical
-//! to running [`crate::Cache`] once per configuration — pinned by
+//! Within this envelope the per-cell [`CacheStats`] — `purges`
+//! included — are bit-identical to running [`crate::UnifiedCache`] or
+//! [`crate::SplitCache`] once per configuration — pinned by
 //! `tests/one_pass_equiv.rs`.
 
 use crate::config::{Replacement, WritePolicy};
@@ -83,12 +111,19 @@ pub struct GridSpec {
     /// Also evaluate the fully-associative point (`ways == lines`) of
     /// every size, deduplicated against the explicit way list.
     pub include_fully_associative: bool,
+    /// Task-switch purge interval in references: every cell is flushed
+    /// before reference `k·interval` (`k >= 1`), as
+    /// [`CacheConfig::purge_interval`](crate::CacheConfig::purge_interval)
+    /// does for one cache. `None` never purges; `Some(0)` is rejected
+    /// with [`ConfigError::ZeroPurgeInterval`]. A [`SplitOnePassEngine`]
+    /// counts the interval over the whole reference stream, not per half.
+    pub purge_interval: Option<u64>,
 }
 
 impl GridSpec {
     /// A grid over `sizes` × `ways` with the paper's defaults: 16-byte
     /// lines, copy-back with fetch-on-write, no extra fully-associative
-    /// points.
+    /// points, no purging.
     pub fn new(sizes: Vec<usize>, ways: Vec<usize>) -> Self {
         GridSpec {
             sizes,
@@ -97,12 +132,13 @@ impl GridSpec {
             write_policy: WritePolicy::PAPER,
             replacement: Replacement::Lru,
             include_fully_associative: false,
+            purge_interval: None,
         }
     }
 
     /// The paper's design-space grid: every [`crate::PAPER_SIZES`] size
     /// crossed with 1/2/4/8-way set-associativity plus the
-    /// fully-associative point of each size.
+    /// fully-associative point of each size, unpurged.
     pub fn paper_grid() -> Self {
         GridSpec {
             sizes: crate::PAPER_SIZES.to_vec(),
@@ -111,6 +147,7 @@ impl GridSpec {
             write_policy: WritePolicy::PAPER,
             replacement: Replacement::Lru,
             include_fully_associative: true,
+            purge_interval: None,
         }
     }
 }
@@ -340,6 +377,22 @@ impl Level {
         }
     }
 
+    /// Empties the recency structure for a purge; the histogram keeps
+    /// the closed epochs' distances.
+    fn reset(&mut self) {
+        match &mut self.recency {
+            Recency::Scan { tops, occupancy } => {
+                tops.fill(u32::MAX);
+                occupancy.fill(0);
+            }
+            Recency::Fenwick { fen, last, time } => {
+                fen.clear();
+                last.clear();
+                *time = 0;
+            }
+        }
+    }
+
     /// Lines resident at end per cell: `Σ_sets min(distinct, ways)`.
     fn add_residency(&self, total_lines: usize, resident: &mut [u64]) {
         match &self.recency {
@@ -355,6 +408,51 @@ impl Level {
                     resident[ci] += (total_lines as u64).min(w as u64);
                 }
             }
+        }
+    }
+}
+
+/// Counts references toward the next task-switch purge, the way
+/// [`crate::Cache`] does: a purge is due before reference `k·interval`.
+#[derive(Debug, Clone, Copy)]
+struct PurgeClock {
+    interval: Option<u64>,
+    /// References since the last purge (or the start).
+    since: u64,
+}
+
+impl PurgeClock {
+    fn new(interval: Option<u64>) -> Self {
+        PurgeClock { interval, since: 0 }
+    }
+
+    /// Whether a purge must happen before the next reference.
+    fn due(&self) -> bool {
+        self.interval.is_some_and(|interval| self.since >= interval)
+    }
+
+    /// Splits `rest` into the references left in the current epoch (the
+    /// whole slice when never purging) and the tail, advancing the clock
+    /// past the former. Call only when no purge is [`due`](Self::due).
+    fn take_epoch<'a>(
+        &mut self,
+        rest: &'a [MemoryAccess],
+    ) -> (&'a [MemoryAccess], &'a [MemoryAccess]) {
+        let room = self.interval.map_or(rest.len(), |interval| {
+            usize::try_from(interval - self.since).map_or(rest.len(), |room| room.min(rest.len()))
+        });
+        self.since += room as u64;
+        rest.split_at(room)
+    }
+}
+
+/// Adds one to `counts[cell]` for every cell bit set in `words`.
+fn count_bits(words: &[u64], counts: &mut [u64]) {
+    for (wi, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            counts[wi * 64 + bits.trailing_zeros() as usize] += 1;
+            bits &= bits - 1;
         }
     }
 }
@@ -409,6 +507,8 @@ pub struct OnePassEngine {
     refs: [u64; 3],
     bytes_demanded: u64,
     bytes_written_through: u64,
+    clock: PurgeClock,
+    purges: u64,
 }
 
 impl OnePassEngine {
@@ -417,8 +517,9 @@ impl OnePassEngine {
     /// # Errors
     ///
     /// Rejects non-power-of-two sizes/ways/line, sizes smaller than one
-    /// line, and requests outside the one-pass envelope (write-through
-    /// without allocate, or a grid with no realizable cell).
+    /// line, a zero purge interval, and requests outside the one-pass
+    /// envelope (write-through without allocate, or a grid with no
+    /// realizable cell).
     pub fn new(spec: &GridSpec) -> Result<Self, ConfigError> {
         let line = spec.line_size;
         if line == 0 || !line.is_power_of_two() {
@@ -426,6 +527,9 @@ impl OnePassEngine {
                 what: "line size",
                 value: line,
             });
+        }
+        if spec.purge_interval == Some(0) {
+            return Err(ConfigError::ZeroPurgeInterval);
         }
         if let WritePolicy::WriteThrough { allocate: false } = spec.write_policy {
             return Err(ConfigError::OnePassUnsupported {
@@ -527,6 +631,8 @@ impl OnePassEngine {
             refs: [0; 3],
             bytes_demanded: 0,
             bytes_written_through: 0,
+            clock: PurgeClock::new(spec.purge_interval),
+            purges: 0,
         })
     }
 
@@ -537,6 +643,10 @@ impl OnePassEngine {
 
     /// Processes one reference.
     pub fn observe(&mut self, access: MemoryAccess) {
+        if self.clock.due() {
+            self.purge();
+        }
+        self.clock.since += 1;
         self.step(
             access.line(self.line_size).get(),
             access.kind,
@@ -546,11 +656,51 @@ impl OnePassEngine {
 
     /// Processes a contiguous slice of references.
     ///
+    /// With a purge interval the slice is cut at the purge boundaries
+    /// and each piece runs through the same per-reference loop as an
+    /// unpurged grid, so purging costs nothing per reference.
+    pub fn observe_slice(&mut self, trace: &[MemoryAccess]) {
+        let mut rest = trace;
+        while !rest.is_empty() {
+            if self.clock.due() {
+                self.purge();
+            }
+            let (epoch, tail) = self.clock.take_epoch(rest);
+            self.observe_epoch(epoch);
+            rest = tail;
+        }
+    }
+
+    /// Flushes every cell now, like [`crate::Cache::purge`] (also run
+    /// automatically per [`GridSpec::purge_interval`]): settles the
+    /// dirty pushes of the closing epoch and restarts every level cold.
+    pub fn purge(&mut self) {
+        if self.copy_back {
+            // A set bit is a store not yet pushed out of that cell:
+            // the line was evicted dirty earlier this epoch, or is
+            // resident dirty and flushed now — one push either way.
+            for words in self.dirty.chunks_exact(self.words_per_line) {
+                count_bits(words, &mut self.cell_dirty_pushes);
+            }
+            self.dirty.clear();
+        }
+        self.intern.clear();
+        self.line_addrs.clear();
+        for level in &mut self.levels {
+            level.reset();
+        }
+        self.clock.since = 0;
+        self.purges += 1;
+    }
+
+    /// The per-reference loop over references that share one purge
+    /// epoch.
+    ///
     /// The hot path: references are staged chunk-wise into
     /// struct-of-arrays buffers (line number, kind index, size split
     /// apart) so the address arithmetic vectorizes and the per-level
     /// walks run over plain scalars.
-    pub fn observe_slice(&mut self, trace: &[MemoryAccess]) {
+    fn observe_epoch(&mut self, trace: &[MemoryAccess]) {
         const CHUNK: usize = 1024;
         self.reserve(trace.len());
         let shift = self.line_size.trailing_zeros();
@@ -744,6 +894,7 @@ impl OnePassEngine {
                 } else {
                     self.bytes_written_through
                 };
+                s.purges = self.purges;
             }
         }
         OnePassGrid {
@@ -763,6 +914,117 @@ impl OnePassEngine {
 /// [`OnePassEngine::new`].
 pub fn one_pass_grid(trace: &[MemoryAccess], spec: &GridSpec) -> Result<OnePassGrid, ConfigError> {
     let mut engine = OnePassEngine::new(spec)?;
+    engine.observe_slice(trace);
+    Ok(engine.finish())
+}
+
+/// The split instruction/data organisation over one-pass engines: the
+/// same grid for both halves, instruction fetches driving one engine and
+/// reads and writes the other. Both halves purge together on the
+/// machine's *global* reference count, exactly as [`crate::SplitCache`]
+/// does, so an epoch with no instruction fetch still purges (and counts
+/// a purge in) the instruction half.
+///
+/// ```
+/// use smith85_cachesim::{GridSpec, SplitOnePassEngine};
+/// use smith85_trace::{Addr, MemoryAccess};
+///
+/// let trace = [
+///     MemoryAccess::ifetch(Addr::new(0x00), 4),
+///     MemoryAccess::read(Addr::new(0x00), 4),
+///     MemoryAccess::read(Addr::new(0x00), 4),
+/// ];
+/// let mut spec = GridSpec::new(vec![256], vec![1]);
+/// spec.purge_interval = Some(2);
+/// let mut split = SplitOnePassEngine::new(&spec)?;
+/// split.observe_slice(&trace);
+/// let (icache, dcache) = split.finish();
+/// // The purge before the third reference empties the data half too.
+/// assert_eq!(dcache.cell_stats(256, 1).unwrap().total_misses(), 2);
+/// assert_eq!(icache.cell_stats(256, 1).unwrap().purges, 1);
+/// # Ok::<(), smith85_cachesim::ConfigError>(())
+/// ```
+#[derive(Debug)]
+pub struct SplitOnePassEngine {
+    instruction: OnePassEngine,
+    data: OnePassEngine,
+    /// The machine-wide clock; the halves themselves never self-purge.
+    clock: PurgeClock,
+    /// Scratch: the current epoch's references, partitioned by half.
+    ifetches: Vec<MemoryAccess>,
+    data_refs: Vec<MemoryAccess>,
+}
+
+impl SplitOnePassEngine {
+    /// Builds both halves from `spec`; its purge interval becomes the
+    /// shared, machine-wide one.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`GridSpec`] validation errors of
+    /// [`OnePassEngine::new`].
+    pub fn new(spec: &GridSpec) -> Result<Self, ConfigError> {
+        if spec.purge_interval == Some(0) {
+            return Err(ConfigError::ZeroPurgeInterval);
+        }
+        let half = GridSpec {
+            purge_interval: None,
+            ..spec.clone()
+        };
+        Ok(SplitOnePassEngine {
+            instruction: OnePassEngine::new(&half)?,
+            data: OnePassEngine::new(&half)?,
+            clock: PurgeClock::new(spec.purge_interval),
+            ifetches: Vec::new(),
+            data_refs: Vec::new(),
+        })
+    }
+
+    /// Processes a contiguous slice of references, one purge epoch at a
+    /// time: each epoch is partitioned by half and fed to the two
+    /// engines' unpurged loops, then both halves purge.
+    pub fn observe_slice(&mut self, trace: &[MemoryAccess]) {
+        let mut rest = trace;
+        while !rest.is_empty() {
+            if self.clock.due() {
+                self.instruction.purge();
+                self.data.purge();
+                self.clock.since = 0;
+            }
+            let (epoch, tail) = self.clock.take_epoch(rest);
+            self.ifetches.clear();
+            self.data_refs.clear();
+            for &access in epoch {
+                if access.kind.is_ifetch() {
+                    self.ifetches.push(access);
+                } else {
+                    self.data_refs.push(access);
+                }
+            }
+            self.instruction.observe_slice(&self.ifetches);
+            self.data.observe_slice(&self.data_refs);
+            rest = tail;
+        }
+    }
+
+    /// Folds both halves: `(instruction grid, data grid)`.
+    pub fn finish(self) -> (OnePassGrid, OnePassGrid) {
+        (self.instruction.finish(), self.data.finish())
+    }
+}
+
+/// Runs one pass of `trace` through a fresh [`SplitOnePassEngine`] for
+/// `spec`: `(instruction grid, data grid)`.
+///
+/// # Errors
+///
+/// Returns the [`GridSpec`] validation errors of
+/// [`OnePassEngine::new`].
+pub fn one_pass_split_grid(
+    trace: &[MemoryAccess],
+    spec: &GridSpec,
+) -> Result<(OnePassGrid, OnePassGrid), ConfigError> {
+    let mut engine = SplitOnePassEngine::new(spec)?;
     engine.observe_slice(trace);
     Ok(engine.finish())
 }
@@ -883,6 +1145,22 @@ mod tests {
         let s = grid.cell_stats(16, 1).unwrap();
         assert_eq!(s.dirty_pushes, 1);
         assert_eq!(s.pushes, 3);
+    }
+
+    #[test]
+    fn purge_settles_evicted_and_resident_dirty_lines() {
+        // One-line cache purged every 3 references: the write to 0 is
+        // evicted dirty by the read of 1 (a deferred push), the write to
+        // 1 leaves it resident dirty, and the purge settles both.
+        let trace = [write(0x00), read(0x10), write(0x10), read(0x00)];
+        let mut spec = GridSpec::new(vec![16], vec![1]);
+        spec.purge_interval = Some(3);
+        let grid = one_pass_grid(&trace, &spec).unwrap();
+        let s = grid.cell_stats(16, 1).unwrap();
+        assert_eq!(s.total_misses(), 3);
+        assert_eq!(s.dirty_pushes, 2);
+        assert_eq!(s.pushes, 2);
+        assert_eq!(s.purges, 1);
     }
 
     #[test]

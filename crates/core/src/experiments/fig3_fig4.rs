@@ -4,11 +4,11 @@
 //! Same simulation setup as Table 3 (split caches, 16-byte lines, LRU,
 //! purge every 20,000 references), with each half's size swept.
 
-use crate::experiments::{table3_workloads, ExperimentConfig};
+use crate::experiments::{full_assoc, table3_workloads, ExperimentConfig};
 use crate::report::render_series;
 use crate::sweep::parallel_map;
 use serde::{Deserialize, Serialize};
-use smith85_cachesim::{Simulator, SplitCache};
+use smith85_cachesim::WritePolicy;
 
 /// One workload's curves.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -38,44 +38,34 @@ pub fn run(config: &ExperimentConfig) -> Fig3Fig4 {
 }
 
 fn compute(config: &ExperimentConfig) -> Fig3Fig4 {
-    let sizes = config.sizes.clone();
-    let len = config.trace_len;
-    let jobs: Vec<_> = table3_workloads()
-        .into_iter()
-        .flat_map(|w| sizes.iter().map(move |&s| (w.clone(), s)).collect::<Vec<_>>())
-        .collect();
-    let results = parallel_map(config.threads, jobs, |(w, size)| {
-        let trace = config.workload_trace(&w);
-        let mut cache =
-            SplitCache::paper_split(size, w.purge_interval()).expect("valid split config");
-        cache.run_slice(&trace.as_slice()[..len]);
-        (
-            w.name().to_string(),
-            size,
-            cache.instruction_stats().instruction_miss_ratio(),
-            cache.data_stats().data_miss_ratio(),
-        )
+    let workloads = table3_workloads();
+    let grids = parallel_map(config.threads, workloads.iter().collect(), |w| {
+        config.purged_split_grid(w, WritePolicy::PAPER)
     });
-    let mut rows: Vec<SplitMissRow> = Vec::new();
-    for w in table3_workloads() {
-        let name = w.name().to_string();
-        let mut instruction = Vec::new();
-        let mut data = Vec::new();
-        for &s in &sizes {
-            let r = results
-                .iter()
-                .find(|(n, sz, _, _)| *n == name && *sz == s)
-                .expect("every job completed");
-            instruction.push(r.2);
-            data.push(r.3);
-        }
-        rows.push(SplitMissRow {
-            name,
-            instruction,
-            data,
-        });
+    let rows = workloads
+        .iter()
+        .zip(&grids)
+        .map(|(w, grids)| {
+            let (icache, dcache) = &**grids;
+            SplitMissRow {
+                name: w.name().to_string(),
+                instruction: config
+                    .sizes
+                    .iter()
+                    .map(|&s| full_assoc(icache, s).instruction_miss_ratio())
+                    .collect(),
+                data: config
+                    .sizes
+                    .iter()
+                    .map(|&s| full_assoc(dcache, s).data_miss_ratio())
+                    .collect(),
+            }
+        })
+        .collect();
+    Fig3Fig4 {
+        sizes: config.sizes.clone(),
+        rows,
     }
-    Fig3Fig4 { sizes, rows }
 }
 
 impl Fig3Fig4 {
@@ -122,6 +112,46 @@ impl Fig3Fig4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smith85_cachesim::{Simulator, SplitCache};
+
+    /// The per-configuration computation the one-pass grids replace:
+    /// one purged split cache per (workload, size).
+    fn per_config(config: &ExperimentConfig) -> Fig3Fig4 {
+        let rows = table3_workloads()
+            .iter()
+            .map(|w| {
+                let trace = config.workload_trace(w);
+                let (instruction, data) = config
+                    .sizes
+                    .iter()
+                    .map(|&size| {
+                        let mut cache = SplitCache::paper_split(size, w.purge_interval())
+                            .expect("valid split config");
+                        cache.run_slice(&trace.as_slice()[..config.trace_len]);
+                        (
+                            cache.instruction_stats().instruction_miss_ratio(),
+                            cache.data_stats().data_miss_ratio(),
+                        )
+                    })
+                    .unzip();
+                SplitMissRow {
+                    name: w.name().to_string(),
+                    instruction,
+                    data,
+                }
+            })
+            .collect();
+        Fig3Fig4 {
+            sizes: config.sizes.clone(),
+            rows,
+        }
+    }
+
+    #[test]
+    fn one_pass_figures_equal_the_per_config_computation() {
+        let config = ExperimentConfig::builder().quick().build().unwrap();
+        assert_eq!(run(&config), per_config(&config));
+    }
 
     fn tiny() -> ExperimentConfig {
         ExperimentConfig::builder()

@@ -32,12 +32,16 @@ pub mod z80000;
 use crate::session::ProbeHandle;
 use crate::sweep;
 use crate::trace_pool::TracePool;
-use smith85_cachesim::PAPER_SIZES;
+use smith85_cachesim::{
+    one_pass_grid, one_pass_split_grid, CacheStats, GridSpec, OnePassGrid, Replacement,
+    WritePolicy, PAPER_SIZES,
+};
 use smith85_families::FamilySpec;
 use smith85_synth::{catalog, ProfileError, ProgramProfile};
 use smith85_trace::mix::RoundRobinMix;
 use smith85_trace::{
-    MachineArch, MemoryAccess, Trace, PAPER_PURGE_INTERVAL, PAPER_PURGE_INTERVAL_M68000,
+    MachineArch, MemoryAccess, Trace, PAPER_LINE_SIZE, PAPER_PURGE_INTERVAL,
+    PAPER_PURGE_INTERVAL_M68000,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -233,6 +237,78 @@ impl ExperimentConfig {
     pub fn profile_trace(&self, profile: &ProgramProfile) -> Arc<Trace> {
         self.pool.profile(profile, self.trace_len)
     }
+
+    /// The one-pass grid of Table 3 and Figures 3-10 for `workload`:
+    /// a fully-associative LRU cell at every swept size, 16-byte lines,
+    /// demand fetch, `policy`, purged on the workload's task-switch
+    /// interval.
+    fn purged_spec(&self, workload: &Workload, policy: WritePolicy) -> GridSpec {
+        GridSpec {
+            sizes: self.sizes.clone(),
+            ways: Vec::new(),
+            line_size: PAPER_LINE_SIZE,
+            write_policy: policy,
+            replacement: Replacement::Lru,
+            include_fully_associative: true,
+            purge_interval: Some(workload.purge_interval()),
+        }
+    }
+
+    /// The unified-cache statistics of the purged size sweep over
+    /// `workload` (see `purged_spec`), in one trace pass: bit-identical
+    /// to one purged [`UnifiedCache`](smith85_cachesim::UnifiedCache)
+    /// run per size. Memoized in the pool under every grid input, so
+    /// experiments sharing a sweep (and serve-style
+    /// [`SimSession::sweep_grid_workload`](crate::session::SimSession::sweep_grid_workload)
+    /// calls with the same spec) compute it once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a swept size is smaller than one line.
+    pub fn purged_unified_grid(
+        &self,
+        workload: &Workload,
+        policy: WritePolicy,
+    ) -> Arc<OnePassGrid> {
+        let spec = self.purged_spec(workload, policy);
+        let key = crate::trace_pool::grid_key("one_pass_grid", workload, self.trace_len, &spec);
+        self.pool.result(&key, || {
+            let trace = self.workload_trace(workload);
+            one_pass_grid(&trace.as_slice()[..self.trace_len], &spec)
+                .expect("swept sizes fit the one-pass envelope")
+        })
+    }
+
+    /// The split instruction/data statistics of the purged size sweep
+    /// over `workload`, `(instruction grid, data grid)` with both halves
+    /// the swept size: bit-identical to one
+    /// [`SplitCache`](smith85_cachesim::SplitCache) run per size. Memoized
+    /// like [`purged_unified_grid`](Self::purged_unified_grid).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a swept size is smaller than one line.
+    pub fn purged_split_grid(
+        &self,
+        workload: &Workload,
+        policy: WritePolicy,
+    ) -> Arc<(OnePassGrid, OnePassGrid)> {
+        let spec = self.purged_spec(workload, policy);
+        let key = crate::trace_pool::grid_key("split_grid", workload, self.trace_len, &spec);
+        self.pool.result(&key, || {
+            let trace = self.workload_trace(workload);
+            one_pass_split_grid(&trace.as_slice()[..self.trace_len], &spec)
+                .expect("swept sizes fit the one-pass envelope")
+        })
+    }
+}
+
+/// The statistics of the fully-associative cell of `size` bytes in a
+/// grid from [`ExperimentConfig::purged_unified_grid`] or
+/// [`ExperimentConfig::purged_split_grid`].
+pub(crate) fn full_assoc(grid: &OnePassGrid, size: usize) -> &CacheStats {
+    grid.cell_stats(size, size / grid.line_size())
+        .expect("every swept size is a grid cell")
 }
 
 impl Default for ExperimentConfig {

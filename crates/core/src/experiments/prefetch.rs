@@ -1,8 +1,11 @@
 //! **Figures 5-10 and Table 4** — the prefetching study.
 //!
-//! For every workload and cache size, four simulations run: unified and
-//! split organisations, each with demand fetch and with "prefetch always"
-//! (§3.5). From them:
+//! For every workload and cache size, four configurations run: unified
+//! and split organisations, each with demand fetch and with "prefetch
+//! always" (§3.5). Demand fetch is a stack algorithm, so its two columns
+//! come from one purged one-pass grid per workload and organisation (the
+//! grids `traffic_ratio` and `fig3_4` share); prefetch-always runs one
+//! per-configuration simulation per cell. From them:
 //!
 //! * Figures 5/6/7 — the ratio of the prefetch miss ratio to the demand
 //!   miss ratio (unified / instruction / data);
@@ -11,14 +14,15 @@
 //! * Table 4 — workload-aggregate traffic factors (sum of prefetch
 //!   traffic over sum of demand traffic, the paper's averaging rule).
 
-use crate::experiments::{table3_workloads, ExperimentConfig, Workload};
+use crate::experiments::{full_assoc, table3_workloads, ExperimentConfig, Workload};
 use crate::report::{fmt_factor, render_series, TextTable};
 use crate::targets::{self, CacheKind};
 use crate::sweep::parallel_map;
 use serde::{Deserialize, Serialize};
 use smith85_cachesim::{
-    CacheConfig, CacheStats, FetchPolicy, Simulator, SplitCache, UnifiedCache,
+    CacheConfig, CacheStats, FetchPolicy, Simulator, SplitCache, UnifiedCache, WritePolicy,
 };
+use smith85_trace::MemoryAccess;
 
 /// Miss and traffic numbers for one (workload, size, organisation) cell.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -88,47 +92,60 @@ fn miss_of(stats: &CacheStats, kind: CacheKind) -> f64 {
     }
 }
 
-struct Cell {
-    unified: PolicyPair,
-    instruction: PolicyPair,
-    data: PolicyPair,
-}
+/// One (workload, size) cell's statistics: the unified cache, then the
+/// split organisation's instruction and data halves.
+type OrgStats = [CacheStats; 3];
 
-fn simulate_cell(w: &Workload, size: usize, trace: &[smith85_trace::MemoryAccess]) -> Cell {
+/// Per-configuration simulation of one (workload, size) cell under
+/// `fetch`. Prefetch-always is not a stack algorithm (a prefetch inserts
+/// a line no reference asked for, differently at every size), so it has
+/// no one-pass form.
+fn simulate_per_config(
+    w: &Workload,
+    size: usize,
+    trace: &[MemoryAccess],
+    fetch: FetchPolicy,
+) -> OrgStats {
     let purge = w.purge_interval();
-    let config_for = |fetch: FetchPolicy, purged: bool| {
+    let config_for = |purged: bool| {
         CacheConfig::builder(size)
             .fetch_policy(fetch)
-            .purge_interval(if purged { Some(purge) } else { None })
+            .purge_interval(purged.then_some(purge))
             .build()
             .expect("valid sweep configuration")
     };
-    let run_unified = |fetch: FetchPolicy| {
-        let mut c = UnifiedCache::new(config_for(fetch, true)).expect("valid config");
-        c.run_slice(trace);
-        *c.stats()
+    let mut unified = UnifiedCache::new(config_for(true)).expect("valid config");
+    unified.run_slice(trace);
+    let cfg = config_for(false);
+    let mut split = SplitCache::new(cfg, cfg, Some(purge)).expect("valid config");
+    split.run_slice(trace);
+    [
+        *unified.stats(),
+        *split.instruction_stats(),
+        *split.data_stats(),
+    ]
+}
+
+/// One workload's row from its per-size (demand, prefetch) statistics.
+fn prefetch_row(name: &str, cells: impl Iterator<Item = (OrgStats, OrgStats)>) -> PrefetchRow {
+    let mut row = PrefetchRow {
+        name: name.to_string(),
+        unified: Vec::new(),
+        instruction: Vec::new(),
+        data: Vec::new(),
     };
-    let run_split = |fetch: FetchPolicy| {
-        let cfg = config_for(fetch, false);
-        let mut c = SplitCache::new(cfg, cfg, Some(purge)).expect("valid config");
-        c.run_slice(trace);
-        (*c.instruction_stats(), *c.data_stats())
-    };
-    let ud = run_unified(FetchPolicy::Demand);
-    let up = run_unified(FetchPolicy::PrefetchAlways);
-    let (id, dd) = run_split(FetchPolicy::Demand);
-    let (ip, dp) = run_split(FetchPolicy::PrefetchAlways);
-    let pair = |d: &CacheStats, p: &CacheStats, kind: CacheKind| PolicyPair {
-        demand_miss: miss_of(d, kind),
-        prefetch_miss: miss_of(p, kind),
-        demand_traffic: d.traffic_bytes(),
-        prefetch_traffic: p.traffic_bytes(),
-    };
-    Cell {
-        unified: pair(&ud, &up, CacheKind::Unified),
-        instruction: pair(&id, &ip, CacheKind::Instruction),
-        data: pair(&dd, &dp, CacheKind::Data),
+    for (demand, prefetch) in cells {
+        let pair = |i: usize, kind: CacheKind| PolicyPair {
+            demand_miss: miss_of(&demand[i], kind),
+            prefetch_miss: miss_of(&prefetch[i], kind),
+            demand_traffic: demand[i].traffic_bytes(),
+            prefetch_traffic: prefetch[i].traffic_bytes(),
+        };
+        row.unified.push(pair(0, CacheKind::Unified));
+        row.instruction.push(pair(1, CacheKind::Instruction));
+        row.data.push(pair(2, CacheKind::Data));
     }
+    row
 }
 
 /// Runs the study. Memoized in the config's shared pool — the heaviest
@@ -139,40 +156,52 @@ pub fn run(config: &ExperimentConfig) -> PrefetchStudy {
 }
 
 fn compute(config: &ExperimentConfig) -> PrefetchStudy {
-    let sizes = config.sizes.clone();
+    let sizes = &config.sizes;
     let len = config.trace_len;
-    let jobs: Vec<_> = table3_workloads()
-        .into_iter()
-        .flat_map(|w| sizes.iter().map(move |&s| (w.clone(), s)).collect::<Vec<_>>())
-        .collect();
-    let cells = parallel_map(config.threads, jobs, |(w, size)| {
-        let trace = config.workload_trace(&w);
-        let cell = simulate_cell(&w, size, &trace.as_slice()[..len]);
-        (w.name().to_string(), size, cell)
+    let workloads = table3_workloads();
+    // Demand fetch comes from the memoized one-pass grids (the same
+    // grids `traffic_ratio` and `fig3_4` read). Each is computed in this
+    // pass, once, before any size job could race to compute it too.
+    let demand = parallel_map(config.threads, workloads.iter().collect(), |w| {
+        (
+            config.purged_unified_grid(w, WritePolicy::PAPER),
+            config.purged_split_grid(w, WritePolicy::PAPER),
+        )
     });
+    let jobs: Vec<_> = workloads
+        .iter()
+        .flat_map(|w| sizes.iter().map(move |&s| (w, s)))
+        .collect();
+    let prefetch = parallel_map(config.threads, jobs, |(w, size)| {
+        let trace = config.workload_trace(w);
+        simulate_per_config(
+            w,
+            size,
+            &trace.as_slice()[..len],
+            FetchPolicy::PrefetchAlways,
+        )
+    });
+    let rows = workloads
+        .iter()
+        .zip(&demand)
+        .zip(prefetch.chunks_exact(sizes.len()))
+        .map(|((w, (unified, split)), prefetch)| {
+            let (icache, dcache) = &**split;
+            let demand = sizes.iter().map(|&s| {
+                [
+                    *full_assoc(unified, s),
+                    *full_assoc(icache, s),
+                    *full_assoc(dcache, s),
+                ]
+            });
+            prefetch_row(w.name(), demand.zip(prefetch.iter().copied()))
+        })
+        .collect();
+    study(sizes.clone(), rows)
+}
 
-    let mut rows = Vec::new();
-    for w in table3_workloads() {
-        let name = w.name().to_string();
-        let mut row = PrefetchRow {
-            name: name.clone(),
-            unified: Vec::new(),
-            instruction: Vec::new(),
-            data: Vec::new(),
-        };
-        for &s in &sizes {
-            let cell = &cells
-                .iter()
-                .find(|(n, sz, _)| *n == name && *sz == s)
-                .expect("every cell simulated")
-                .2;
-            row.unified.push(cell.unified);
-            row.instruction.push(cell.instruction);
-            row.data.push(cell.data);
-        }
-        rows.push(row);
-    }
-
+/// Assembles the study, deriving Table 4 from the rows.
+fn study(sizes: Vec<usize>, rows: Vec<PrefetchRow>) -> PrefetchStudy {
     // Table 4: the paper's averaging rule — sum prefetch traffic over sum
     // demand traffic, per organisation and size.
     let table4 = sizes
@@ -310,6 +339,32 @@ impl PrefetchStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-configuration computation the one-pass demand grids
+    /// replace: all four simulations per (workload, size).
+    fn per_config(config: &ExperimentConfig) -> PrefetchStudy {
+        let rows = table3_workloads()
+            .iter()
+            .map(|w| {
+                let trace = config.workload_trace(w);
+                let replay = &trace.as_slice()[..config.trace_len];
+                let cells = config.sizes.iter().map(|&size| {
+                    (
+                        simulate_per_config(w, size, replay, FetchPolicy::Demand),
+                        simulate_per_config(w, size, replay, FetchPolicy::PrefetchAlways),
+                    )
+                });
+                prefetch_row(w.name(), cells)
+            })
+            .collect();
+        study(config.sizes.clone(), rows)
+    }
+
+    #[test]
+    fn one_pass_demand_columns_equal_the_per_config_computation() {
+        let config = ExperimentConfig::builder().quick().build().unwrap();
+        assert_eq!(run(&config), per_config(&config));
+    }
 
     fn tiny() -> ExperimentConfig {
         ExperimentConfig::builder()

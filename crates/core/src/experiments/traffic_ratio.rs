@@ -8,11 +8,11 @@
 //! while they remove misses. This experiment sweeps cache size for every
 //! workload and reports where the ratio crosses below 1.0.
 
-use crate::experiments::{table3_workloads, ExperimentConfig};
+use crate::experiments::{full_assoc, table3_workloads, ExperimentConfig};
 use crate::report::{fmt_factor, TextTable};
 use crate::sweep::parallel_map;
 use serde::{Deserialize, Serialize};
-use smith85_cachesim::{CacheConfig, Simulator, UnifiedCache, WritePolicy};
+use smith85_cachesim::{OnePassGrid, WritePolicy};
 
 /// One workload's traffic-ratio curve.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,43 +44,63 @@ pub fn run(config: &ExperimentConfig) -> TrafficRatioStudy {
     (*config.pool.result(&key, || compute(config))).clone()
 }
 
+/// The two write policies compared, copy-back first.
+const POLICIES: [WritePolicy; 2] = [
+    WritePolicy::PAPER,
+    WritePolicy::WriteThrough { allocate: true },
+];
+
 fn compute(config: &ExperimentConfig) -> TrafficRatioStudy {
-    let sizes = config.sizes.clone();
-    let len = config.trace_len;
-    let rows = parallel_map(config.threads, table3_workloads(), |w| {
-        let trace = config.workload_trace(&w);
-        let replay = &trace.as_slice()[..len];
-        let ratio_for = |policy: WritePolicy, size: usize| {
-            let cfg = CacheConfig::builder(size)
-                .write_policy(policy)
-                .purge_interval(Some(w.purge_interval()))
-                .build()
-                .expect("valid sweep configuration");
-            let mut cache = UnifiedCache::new(cfg).expect("valid config");
-            cache.run_slice(replay);
-            cache.stats().traffic_ratio()
-        };
-        let copy_back: Vec<f64> = sizes
-            .iter()
-            .map(|&s| ratio_for(WritePolicy::PAPER, s))
-            .collect();
-        let write_through: Vec<f64> = sizes
-            .iter()
-            .map(|&s| ratio_for(WritePolicy::WriteThrough { allocate: true }, s))
-            .collect();
-        let crossover = sizes
-            .iter()
-            .zip(&copy_back)
-            .find(|(_, &r)| r < 1.0)
-            .map(|(&s, _)| s);
-        TrafficRatioRow {
-            name: w.name().to_string(),
-            copy_back,
-            write_through,
-            crossover,
-        }
+    let workloads = table3_workloads();
+    let jobs: Vec<_> = workloads
+        .iter()
+        .flat_map(|w| POLICIES.map(|policy| (w, policy)))
+        .collect();
+    let grids = parallel_map(config.threads, jobs, |(w, policy)| {
+        config.purged_unified_grid(w, policy)
     });
-    TrafficRatioStudy { sizes, rows }
+    let rows = workloads
+        .iter()
+        .zip(grids.chunks_exact(POLICIES.len()))
+        .map(|(w, grids)| {
+            let ratios = |grid: &OnePassGrid| -> Vec<f64> {
+                config
+                    .sizes
+                    .iter()
+                    .map(|&s| full_assoc(grid, s).traffic_ratio())
+                    .collect()
+            };
+            row(
+                w.name(),
+                &config.sizes,
+                ratios(&grids[0]),
+                ratios(&grids[1]),
+            )
+        })
+        .collect();
+    TrafficRatioStudy {
+        sizes: config.sizes.clone(),
+        rows,
+    }
+}
+
+fn row(
+    name: &str,
+    sizes: &[usize],
+    copy_back: Vec<f64>,
+    write_through: Vec<f64>,
+) -> TrafficRatioRow {
+    let crossover = sizes
+        .iter()
+        .zip(&copy_back)
+        .find(|(_, &r)| r < 1.0)
+        .map(|(&s, _)| s);
+    TrafficRatioRow {
+        name: name.to_string(),
+        copy_back,
+        write_through,
+        crossover,
+    }
 }
 
 impl TrafficRatioStudy {
@@ -123,6 +143,51 @@ impl TrafficRatioStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smith85_cachesim::{CacheConfig, Simulator, UnifiedCache};
+
+    /// The per-configuration computation the one-pass grids replace:
+    /// one purged unified cache per (workload, policy, size).
+    fn per_config(config: &ExperimentConfig) -> TrafficRatioStudy {
+        let rows = table3_workloads()
+            .iter()
+            .map(|w| {
+                let trace = config.workload_trace(w);
+                let replay = &trace.as_slice()[..config.trace_len];
+                let ratios = |policy: WritePolicy| -> Vec<f64> {
+                    config
+                        .sizes
+                        .iter()
+                        .map(|&size| {
+                            let cfg = CacheConfig::builder(size)
+                                .write_policy(policy)
+                                .purge_interval(Some(w.purge_interval()))
+                                .build()
+                                .expect("valid sweep configuration");
+                            let mut cache = UnifiedCache::new(cfg).expect("valid config");
+                            cache.run_slice(replay);
+                            cache.stats().traffic_ratio()
+                        })
+                        .collect()
+                };
+                row(
+                    w.name(),
+                    &config.sizes,
+                    ratios(POLICIES[0]),
+                    ratios(POLICIES[1]),
+                )
+            })
+            .collect();
+        TrafficRatioStudy {
+            sizes: config.sizes.clone(),
+            rows,
+        }
+    }
+
+    #[test]
+    fn one_pass_study_equals_the_per_config_computation() {
+        let config = ExperimentConfig::builder().quick().build().unwrap();
+        assert_eq!(run(&config), per_config(&config));
+    }
 
     fn tiny() -> ExperimentConfig {
         ExperimentConfig::builder()

@@ -588,16 +588,7 @@ impl SimSession {
     ) -> Result<OnePassGrid, CacheConfigError> {
         // Validate eagerly so errors are never memoized.
         OnePassEngine::new(spec)?;
-        let key = format!(
-            "one_pass_grid/{}/{}/sizes={:?}/ways={:?}/line={}/policy={:?}/full={}",
-            crate::trace_pool::workload_key(workload),
-            len,
-            spec.sizes,
-            spec.ways,
-            spec.line_size,
-            spec.write_policy,
-            spec.include_fully_associative,
-        );
+        let key = crate::trace_pool::grid_key("one_pass_grid", workload, len, spec);
         let grid = self.config.pool.result(&key, || {
             self.traced(
                 "sweep_grid_workload",
@@ -615,7 +606,8 @@ impl SimSession {
 
     /// Per-configuration replacement-policy sweep over a pooled workload
     /// prefix: one full [`UnifiedCache`] run per realizable
-    /// `(size, ways)` cell of `spec`, under `spec.replacement`.
+    /// `(size, ways)` cell of `spec`, under `spec.replacement` and
+    /// `spec.purge_interval`.
     ///
     /// This is the fallback path for the grids the one-pass engine
     /// rejects with `OnePassUnsupported`: Mattson stack inclusion only
@@ -647,17 +639,7 @@ impl SimSession {
         let mut lru_spec = spec.clone();
         lru_spec.replacement = Replacement::Lru;
         let cells: Vec<GridCell> = OnePassEngine::new(&lru_spec)?.cells().to_vec();
-        let key = format!(
-            "policy_grid/{}/{}/sizes={:?}/ways={:?}/line={}/policy={:?}/replacement={:?}/full={}",
-            crate::trace_pool::workload_key(workload),
-            len,
-            spec.sizes,
-            spec.ways,
-            spec.line_size,
-            spec.write_policy,
-            spec.replacement,
-            spec.include_fully_associative,
-        );
+        let key = crate::trace_pool::grid_key("policy_grid", workload, len, spec);
         let grid = self.config.pool.result(&key, || {
             self.traced(
                 "policy_sweep_workload",
@@ -690,6 +672,7 @@ impl SimSession {
                                 .mapping(mapping)
                                 .write_policy(spec.write_policy)
                                 .replacement(spec.replacement)
+                                .purge_interval(spec.purge_interval)
                                 .build()
                                 .expect("cell shapes validated by the engine");
                             let stats = self
@@ -880,6 +863,34 @@ mod tests {
         let smaller = session.sweep_grid_workload(&vccom(), LEN, &other).unwrap();
         assert_eq!(smaller.cells().len(), 6);
         assert_eq!(counter("one_pass_refs_total"), 2 * LEN as u64);
+    }
+
+    #[test]
+    fn sweep_grid_memo_keys_the_purge_interval() {
+        let session = SimSession::builder().quick().build().unwrap();
+        const LEN: usize = 3_000;
+        let unpurged = GridSpec::new(vec![256, 1024], vec![1, 2]);
+        let mut purged = unpurged.clone();
+        purged.purge_interval = Some(500);
+        let first = session
+            .sweep_grid_workload(&vccom(), LEN, &unpurged)
+            .unwrap();
+        let second = session.sweep_grid_workload(&vccom(), LEN, &purged).unwrap();
+        // Specs differing only in purge are distinct memo entries, and
+        // each answers its own spec.
+        let trace = session.pool().workload(&vccom(), LEN);
+        let replay = &trace.as_slice()[..LEN];
+        assert_eq!(
+            second.stats(),
+            session.sweep_grid(replay, &purged).unwrap().stats()
+        );
+        assert_eq!(
+            first.stats(),
+            session.sweep_grid(replay, &unpurged).unwrap().stats()
+        );
+        assert_eq!(second.stats()[0].purges, 5);
+        assert_eq!(first.stats()[0].purges, 0);
+        assert_ne!(first.stats(), second.stats());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use crate::experiments::Workload;
 use crate::session::ProbeHandle;
+use smith85_cachesim::GridSpec;
 use smith85_synth::ProgramProfile;
 use smith85_trace::{MemoryAccess, Trace};
 use std::any::Any;
@@ -428,6 +429,14 @@ pub(crate) fn workload_key(workload: &Workload) -> String {
         }
         Workload::Family(spec) => spec.identity_key(),
     }
+}
+
+/// The pool key of a grid result over a `len`-reference prefix of
+/// `workload`: `kind`, the workload identity, the length and every
+/// [`GridSpec`] field. The spec goes in through its `Debug` form, so a
+/// field added to it can never be left out of the key.
+pub(crate) fn grid_key(kind: &str, workload: &Workload, len: usize, spec: &GridSpec) -> String {
+    format!("{kind}/{}/{len}/{spec:?}", workload_key(workload))
 }
 
 /// A key covering every field the generated stream depends on. Floats go

@@ -74,7 +74,7 @@ pub use protocol::{
     CacheSpec, CatalogResult, ErrorBody, ErrorCode, Request, Response, RouterCounters,
     SimulateResult, SimulateSpec, StatsResult, SweepResult, SweepSpec, PROTOCOL_VERSION,
 };
-pub use router::RouterOptions;
+pub use router::{HashRing, RouterOptions};
 pub use server::{
     ConfigError, RunningServer, ServeOptions, ServeOptionsBuilder, Server, ShutdownHandle,
 };

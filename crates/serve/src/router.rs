@@ -84,11 +84,62 @@ pub(crate) struct Shard {
     forwarded: AtomicU64,
 }
 
+/// The consistent-hash ring: `replicas` virtual nodes per shard, each at
+/// the hash of `"{addr}#{replica}"`. Public so callers can tell which
+/// shard owns a request without sending it.
+#[derive(Debug, Clone)]
+pub struct HashRing {
+    /// `(hash, shard index)` sorted by hash.
+    ring: Vec<(u64, usize)>,
+    shards: usize,
+}
+
+impl HashRing {
+    /// The ring a router over `backends` (shard `i` is `backends[i]`)
+    /// with `replicas` virtual nodes per shard routes by.
+    pub fn new(backends: &[String], replicas: usize) -> HashRing {
+        let mut ring: Vec<(u64, usize)> = Vec::with_capacity(backends.len() * replicas);
+        for (index, addr) in backends.iter().enumerate() {
+            for replica in 0..replicas {
+                let vnode = format!("{addr}#{replica}");
+                ring.push((fnv64(vnode.bytes()), index));
+            }
+        }
+        ring.sort_unstable();
+        HashRing {
+            ring,
+            shards: backends.len(),
+        }
+    }
+
+    /// Shard indices for `request`, primary first, then the ring order
+    /// a hedge walks: the next *distinct* shards clockwise from the
+    /// request key's position.
+    pub fn candidates(&self, request: &Request) -> Vec<usize> {
+        let key_hash = fnv64(route_key(request).bytes());
+        let start = self
+            .ring
+            .partition_point(|&(hash, _)| hash < key_hash)
+            .checked_rem(self.ring.len())
+            .unwrap_or(0);
+        let mut order = Vec::with_capacity(self.shards);
+        for offset in 0..self.ring.len() {
+            let (_, shard) = self.ring[(start + offset) % self.ring.len()];
+            if !order.contains(&shard) {
+                order.push(shard);
+                if order.len() == self.shards {
+                    break;
+                }
+            }
+        }
+        order
+    }
+}
+
 /// Shared router state: the ring, per-shard counters, global counters.
 pub(crate) struct RouterState {
     shards: Vec<Arc<Shard>>,
-    /// `(hash, shard index)` sorted by hash — the consistent-hash ring.
-    ring: Vec<(u64, usize)>,
+    ring: HashRing,
     opts: RouterOptions,
     registry: Registry,
     forwarded: AtomicU64,
@@ -154,14 +205,7 @@ impl RouterState {
                 })
             })
             .collect();
-        let mut ring: Vec<(u64, usize)> = Vec::with_capacity(shards.len() * opts.replicas);
-        for (index, shard) in shards.iter().enumerate() {
-            for replica in 0..opts.replicas {
-                let vnode = format!("{}#{replica}", shard.addr);
-                ring.push((fnv64(vnode.bytes()), index));
-            }
-        }
-        ring.sort_unstable();
+        let ring = HashRing::new(&opts.backends, opts.replicas);
         // Pre-register the gauges so a scrape before the first probe
         // still lists every shard (optimistically up). One family with
         // a `shard` label per backend, never per-index metric names.
@@ -192,28 +236,6 @@ impl RouterState {
 
     pub(crate) fn probe_interval(&self) -> Duration {
         Duration::from_millis(self.opts.probe_interval_ms.max(10))
-    }
-
-    /// Shard candidates for `key`, primary first, then the ring order a
-    /// hedge walks: the next *distinct* shards clockwise from the
-    /// key's position.
-    fn candidates(&self, key_hash: u64) -> Vec<usize> {
-        let start = self
-            .ring
-            .partition_point(|&(hash, _)| hash < key_hash)
-            .checked_rem(self.ring.len())
-            .unwrap_or(0);
-        let mut order = Vec::with_capacity(self.shards.len());
-        for offset in 0..self.ring.len() {
-            let (_, shard) = self.ring[(start + offset) % self.ring.len()];
-            if !order.contains(&shard) {
-                order.push(shard);
-                if order.len() == self.shards.len() {
-                    break;
-                }
-            }
-        }
-        order
     }
 
     /// Point-in-time router counters for `stats` responses.
@@ -273,8 +295,7 @@ impl RouterState {
         request: &Request,
         trace_id: &str,
     ) -> Result<ForwardOutcome, ErrorBody> {
-        let key_hash = fnv64(route_key(request).bytes());
-        let candidates = self.candidates(key_hash);
+        let candidates = self.ring.candidates(request);
         let mut hedges = 0u64;
         let mut last_failure: Option<String> = None;
         for (rank, &index) in candidates.iter().enumerate() {
@@ -555,9 +576,9 @@ mod tests {
     fn identical_requests_route_to_the_same_shard() {
         let state = state(&["10.0.0.1:1", "10.0.0.2:1", "10.0.0.3:1"]);
         let request = simulate("VCCOM", 4_096);
-        let first = state.candidates(fnv64(route_key(&request).bytes()));
+        let first = state.ring.candidates(&request);
         for _ in 0..10 {
-            let again = state.candidates(fnv64(route_key(&request).bytes()));
+            let again = state.ring.candidates(&request);
             assert_eq!(first, again, "routing must be deterministic");
         }
         assert_eq!(first.len(), 3, "every shard appears once in hedge order");
@@ -570,7 +591,7 @@ mod tests {
         for size_log in 8..16 {
             for (i, workload) in ["VCCOM", "ZGREP", "PL0", "MUL8", "S-KVSTORE"].iter().enumerate() {
                 let request = simulate(workload, (1usize << size_log) + i);
-                let primary = state.candidates(fnv64(route_key(&request).bytes()))[0];
+                let primary = state.ring.candidates(&request)[0];
                 hits[primary] += 1;
             }
         }

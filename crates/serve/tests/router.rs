@@ -8,8 +8,8 @@
 //! never a hang.
 
 use smith85_serve::{
-    CacheSpec, Client, ClientError, ErrorCode, Request, Response, RouterOptions, ServeOptions,
-    Server, SimulateSpec,
+    CacheSpec, Client, ClientError, ErrorCode, HashRing, Request, Response, RouterOptions,
+    ServeOptions, Server, SimulateSpec,
 };
 use std::time::{Duration, Instant};
 
@@ -383,10 +383,15 @@ fn hedged_request_renders_as_one_merged_span_tree_across_journals() {
     .expect("spawn router");
     let router_addr = router.addr().to_string();
 
-    // Find a request key whose ring primary is shard B (its exec count
-    // moves when the routed request lands there) — then kill B and
-    // replay that exact key: the forward to B is refused, the router
-    // hedges to the surviving shard, and both hop spans are journaled.
+    // Pick a request key whose ring primary is shard B from the ring
+    // itself, confirm the router sends it there (B's exec count moves),
+    // then kill B and replay that exact key: the forward to B is
+    // refused, the router hedges to the surviving shard, and both hop
+    // spans are journaled.
+    let ring = HashRing::new(
+        &[backend.addr().to_string(), backend_b.addr().to_string()],
+        RouterOptions::default().replicas,
+    );
     let mut direct_b = Client::builder()
         .addr(backend_b.addr().to_string())
         .connect()
@@ -399,26 +404,24 @@ fn hedged_request_renders_as_one_merged_span_tree_across_journals() {
             .map(|h| h.count)
             .unwrap_or(0)
     };
-    let workloads = ["MVS1", "FCOMP1", "VCCOM", "VSPICE", "ZGREP", "TWOD", "WATEX", "PL0"];
-    let mut primary_on_b: Option<(usize, &str)> = None;
-    for (i, workload) in workloads.iter().enumerate() {
-        let before = b_exec_count(&mut direct_b);
-        let mut client = Client::builder()
-            .addr(router_addr.as_str())
-            .timeout(Duration::from_secs(30))
-            .connect()
-            .expect("connect");
-        match client.call(&simulate_request(workload, 1_500 + 100 * i, 4_096)) {
-            Ok(Response::Simulate(_)) => {}
-            other => panic!("routed call must succeed, got {other:?}"),
-        }
-        if b_exec_count(&mut direct_b) > before {
-            primary_on_b = Some((i, workload));
-            break;
-        }
+    let workload = "VCCOM";
+    let len = (1_500..)
+        .find(|&len| ring.candidates(&simulate_request(workload, len, 4_096))[0] == 1)
+        .expect("half the ring belongs to shard B");
+    let before = b_exec_count(&mut direct_b);
+    let mut client = Client::builder()
+        .addr(router_addr.as_str())
+        .timeout(Duration::from_secs(30))
+        .connect()
+        .expect("connect");
+    match client.call(&simulate_request(workload, len, 4_096)) {
+        Ok(Response::Simulate(_)) => {}
+        other => panic!("routed call must succeed, got {other:?}"),
     }
-    let (i, workload) = primary_on_b
-        .expect("one of eight distinct request keys must route primarily to shard B");
+    assert!(
+        b_exec_count(&mut direct_b) > before,
+        "the ring's B-primary key must execute on shard B"
+    );
     drop(direct_b);
     backend_b.stop().expect("stop backend b");
 
@@ -429,7 +432,7 @@ fn hedged_request_renders_as_one_merged_span_tree_across_journals() {
         .timeout(Duration::from_secs(30))
         .connect()
         .expect("connect");
-    match client.call(&simulate_request(workload, 1_500 + 100 * i, 4_096)) {
+    match client.call(&simulate_request(workload, len, 4_096)) {
         Ok(Response::Simulate(_)) => {}
         other => panic!("hedged replay must succeed on the survivor, got {other:?}"),
     }
