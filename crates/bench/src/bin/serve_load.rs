@@ -29,6 +29,7 @@ use smith85_core::session::SimSession;
 use smith85_serve::{
     CacheSpec, Client, Request, Response, RouterOptions, ServeOptions, Server, SimulateSpec,
 };
+use smith85_tracelog::json::{self, Json};
 use std::time::Instant;
 
 /// Workloads cycled through by every connection; repeats make the
@@ -410,71 +411,66 @@ fn run_scale_out(config: &ModeConfig) -> ScaleOut {
     scale_out
 }
 
-/// One pass's JSON object (shared shape for the top level and the
-/// cold/warm store comparison).
-fn render_pass(indent: &str, pass: &PassResult) -> String {
-    let mut s = String::new();
-    s.push_str(&format!("{indent}\"completed\": {},\n", pass.completed()));
-    s.push_str(&format!(
-        "{indent}\"rejected_overload\": {},\n",
-        pass.rejections
-    ));
-    s.push_str(&format!("{indent}\"errors\": {},\n", pass.errors));
-    s.push_str(&format!("{indent}\"wall_secs\": {:.6},\n", pass.wall_secs));
-    s.push_str(&format!(
-        "{indent}\"requests_per_sec\": {:.1},\n",
-        pass.requests_per_sec()
-    ));
-    s.push_str(&format!("{indent}\"latency_ms\": {{\n"));
-    s.push_str(&format!(
-        "{indent}  \"p50\": {:.3},\n",
-        percentile(&pass.latencies_ms, 50.0)
-    ));
-    s.push_str(&format!(
-        "{indent}  \"p95\": {:.3},\n",
-        percentile(&pass.latencies_ms, 95.0)
-    ));
-    s.push_str(&format!(
-        "{indent}  \"p99\": {:.3},\n",
-        percentile(&pass.latencies_ms, 99.0)
-    ));
-    s.push_str(&format!(
-        "{indent}  \"max\": {:.3}\n",
-        pass.latencies_ms.last().copied().unwrap_or(0.0)
-    ));
-    s.push_str(&format!("{indent}}},\n"));
-    match &pass.stats {
+/// `x` rounded to `places` decimal places, as a JSON number.
+fn fixed(x: f64, places: i32) -> Json {
+    let scale = 10f64.powi(places);
+    Json::Num((x * scale).round() / scale)
+}
+
+/// One pass's JSON fields (shared shape for the top level, the cold/warm
+/// store comparison and every scale-out pass).
+fn pass_fields(pass: &PassResult) -> Vec<(&'static str, Json)> {
+    let latencies = &pass.latencies_ms;
+    let server = match &pass.stats {
         Some(stats) => {
-            s.push_str(&format!("{indent}\"server\": {{\n"));
-            s.push_str(&format!(
-                "{indent}  \"queue_high_water\": {},\n",
-                stats.queue_high_water
-            ));
-            s.push_str(&format!("{indent}  \"workers\": {},\n", stats.workers));
-            s.push_str(&format!("{indent}  \"pool_hits\": {},\n", stats.pool.hits));
-            s.push_str(&format!(
-                "{indent}  \"pool_misses\": {},\n",
-                stats.pool.misses
-            ));
-            s.push_str(&format!(
-                "{indent}  \"pool_materialized_bytes\": {}",
-                stats.pool.materialized_bytes
-            ));
-            match &stats.store {
-                Some(store) => {
-                    s.push_str(",\n");
-                    s.push_str(&format!("{indent}  \"store_hits\": {},\n", store.hits));
-                    s.push_str(&format!("{indent}  \"store_misses\": {},\n", store.misses));
-                    s.push_str(&format!("{indent}  \"store_writes\": {},\n", store.writes));
-                    s.push_str(&format!("{indent}  \"store_bytes\": {}\n", store.bytes));
-                }
-                None => s.push('\n'),
+            let mut fields = vec![
+                (
+                    "queue_high_water",
+                    Json::Uint(stats.queue_high_water as u64),
+                ),
+                ("workers", Json::Uint(stats.workers as u64)),
+                ("pool_hits", Json::Uint(stats.pool.hits)),
+                ("pool_misses", Json::Uint(stats.pool.misses)),
+                (
+                    "pool_materialized_bytes",
+                    Json::Uint(stats.pool.materialized_bytes),
+                ),
+            ];
+            if let Some(store) = &stats.store {
+                fields.extend([
+                    ("store_hits", Json::Uint(store.hits)),
+                    ("store_misses", Json::Uint(store.misses)),
+                    ("store_writes", Json::Uint(store.writes)),
+                    ("store_bytes", Json::Uint(store.bytes)),
+                ]);
             }
-            s.push_str(&format!("{indent}}}\n"));
+            json::obj(fields)
         }
-        None => s.push_str(&format!("{indent}\"server\": null\n")),
-    }
-    s
+        None => Json::Null,
+    };
+    vec![
+        ("completed", Json::Uint(pass.completed() as u64)),
+        ("rejected_overload", Json::Uint(pass.rejections)),
+        ("errors", Json::Uint(pass.errors)),
+        ("wall_secs", fixed(pass.wall_secs, 6)),
+        ("requests_per_sec", fixed(pass.requests_per_sec(), 1)),
+        (
+            "latency_ms",
+            json::obj(vec![
+                ("p50", fixed(percentile(latencies, 50.0), 3)),
+                ("p95", fixed(percentile(latencies, 95.0), 3)),
+                ("p99", fixed(percentile(latencies, 99.0), 3)),
+                ("max", fixed(latencies.last().copied().unwrap_or(0.0), 3)),
+            ]),
+        ),
+        ("server", server),
+    ]
+}
+
+/// `head` followed by `pass`'s fields, as one object.
+fn with_pass(mut head: Vec<(&'static str, Json)>, pass: &PassResult) -> Json {
+    head.extend(pass_fields(pass));
+    json::obj(head)
 }
 
 fn render_json(
@@ -485,87 +481,75 @@ fn render_json(
     store: Option<(&str, &PassResult)>,
     scale_out: Option<&ScaleOut>,
 ) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"smith85-serve-bench-v4\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!("  \"target\": \"{target}\",\n"));
-    s.push_str(&format!("  \"connections\": {},\n", config.connections));
-    s.push_str(&format!(
-        "  \"requests_per_connection\": {},\n",
-        config.requests_per_connection
-    ));
-    s.push_str(&format!("  \"trace_len\": {},\n", config.trace_len));
-    s.push_str(&render_pass("  ", primary));
-    // trim the trailing newline of the pass body so we can append a comma
-    s.pop();
-    s.push_str(",\n");
-    match store {
-        Some((path, warm)) => {
-            s.push_str("  \"store\": {\n");
-            s.push_str(&format!("    \"path\": {:?},\n", path));
-            s.push_str(&format!(
-                "    \"warm_speedup\": {:.2},\n",
-                warm.requests_per_sec() / primary.requests_per_sec().max(1e-12)
-            ));
-            s.push_str("    \"warm\": {\n");
-            s.push_str(&render_pass("      ", warm));
-            s.push_str("    }\n");
-            s.push_str("  }\n");
-        }
-        None => s.push_str("  \"store\": null\n"),
-    }
-    s.pop();
-    s.push_str(",\n");
-    match scale_out {
+    let store = match store {
+        Some((path, warm)) => json::obj(vec![
+            ("path", json::s(path)),
+            (
+                "warm_speedup",
+                fixed(
+                    warm.requests_per_sec() / primary.requests_per_sec().max(1e-12),
+                    2,
+                ),
+            ),
+            ("warm", json::obj(pass_fields(warm))),
+        ]),
+        None => Json::Null,
+    };
+    let scale_out = match scale_out {
         Some(so) => {
-            s.push_str("  \"scale_out\": {\n");
-            s.push_str("    \"event_loop\": {\n");
-            s.push_str(&format!(
-                "      \"connections\": {},\n",
-                so.event_loop_connections
-            ));
-            s.push_str(&render_pass("      ", &so.event_loop));
-            s.push_str("    },\n");
-            // v4: the observability price tag. The disabled figure is
-            // structural — no journal configured means the tracing sink
-            // short-circuits before any work happens.
-            s.push_str("    \"instrumentation\": {\n");
-            s.push_str(&format!(
-                "      \"journal_overhead_percent\": {:.1},\n",
-                so.journal_overhead_percent
-            ));
-            s.push_str("      \"disabled_overhead_percent\": 0.0,\n");
-            s.push_str("      \"journal_enabled\": {\n");
-            s.push_str(&render_pass("        ", &so.instrumented));
-            s.push_str("      }\n");
-            s.push_str("    },\n");
-            s.push_str("    \"router\": {\n");
-            s.push_str(&format!("      \"backends\": {},\n", so.router_backends));
-            s.push_str(&format!(
-                "      \"bit_identical\": {},\n",
-                so.bit_identical
-            ));
+            let mut router = vec![
+                ("backends", Json::Uint(so.router_backends as u64)),
+                ("bit_identical", Json::Bool(so.bit_identical)),
+            ];
             if let Some(counters) = so.router.stats.as_ref().and_then(|st| st.router.as_ref()) {
-                s.push_str(&format!("      \"forwarded\": {},\n", counters.forwarded));
-                s.push_str(&format!("      \"hedged\": {},\n", counters.hedged));
-                s.push_str(&format!(
-                    "      \"shard_overloads\": {},\n",
-                    counters.shard_overloads
-                ));
-                s.push_str(&format!(
-                    "      \"shards_healthy\": {},\n",
-                    counters.healthy
-                ));
+                router.extend([
+                    ("forwarded", Json::Uint(counters.forwarded)),
+                    ("hedged", Json::Uint(counters.hedged)),
+                    ("shard_overloads", Json::Uint(counters.shard_overloads)),
+                    ("shards_healthy", Json::Uint(counters.healthy)),
+                ]);
             }
-            s.push_str(&render_pass("      ", &so.router));
-            s.push_str("    }\n");
-            s.push_str("  }\n");
+            json::obj(vec![
+                (
+                    "event_loop",
+                    with_pass(
+                        vec![("connections", Json::Uint(so.event_loop_connections as u64))],
+                        &so.event_loop,
+                    ),
+                ),
+                // v4: the observability price tag. The disabled figure is
+                // structural — no journal configured means the tracing
+                // sink short-circuits before any work happens.
+                (
+                    "instrumentation",
+                    json::obj(vec![
+                        (
+                            "journal_overhead_percent",
+                            fixed(so.journal_overhead_percent, 1),
+                        ),
+                        ("disabled_overhead_percent", Json::Num(0.0)),
+                        ("journal_enabled", json::obj(pass_fields(&so.instrumented))),
+                    ]),
+                ),
+                ("router", with_pass(router, &so.router)),
+            ])
         }
-        None => s.push_str("  \"scale_out\": null\n"),
-    }
-    s.push_str("}\n");
-    s
+        None => Json::Null,
+    };
+    let mut bench = vec![
+        ("schema", json::s("smith85-serve-bench-v4")),
+        ("mode", json::s(mode)),
+        ("target", json::s(target)),
+        ("connections", Json::Uint(config.connections as u64)),
+        (
+            "requests_per_connection",
+            Json::Uint(config.requests_per_connection as u64),
+        ),
+        ("trace_len", Json::Uint(config.trace_len as u64)),
+    ];
+    bench.extend(pass_fields(primary));
+    bench.extend([("store", store), ("scale_out", scale_out)]);
+    format!("{}\n", json::obj(bench))
 }
 
 fn print_pass(label: &str, config: &ModeConfig, target_label: &str, pass: &PassResult) {

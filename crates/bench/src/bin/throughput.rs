@@ -37,6 +37,7 @@ use smith85_cachesim::{
 };
 use smith85_synth::catalog;
 use smith85_trace::MemoryAccess;
+use smith85_tracelog::json::{self, Json};
 use std::time::Instant;
 
 /// The workload every kernel is timed on.
@@ -183,40 +184,44 @@ fn run_kernels(len: usize, journal: Option<&str>) -> Vec<KernelResult> {
 }
 
 fn render_json(mode: &str, len: usize, journaled: bool, results: &[KernelResult]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    // v3 adds the fifo_random_policy kernel; every v2 field is kept.
-    s.push_str("  \"schema\": \"smith85-throughput-v3\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!("  \"journaled\": {journaled},\n"));
-    s.push_str(&format!("  \"trace\": \"{TRACE}\",\n"));
-    s.push_str(&format!("  \"trace_len\": {len},\n"));
-    s.push_str(&format!("  \"repeats\": {REPEATS},\n"));
-    s.push_str("  \"kernels\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let grid = r.grid.as_ref().map_or(String::new(), |g| {
-            format!(
-                ", \"grid_sizes\": {}, \"grid_ways\": {}, \"grid_cells\": {}, \
-                 \"trace_refs\": {}, \"trace_refs_per_sec\": {:.0}",
-                g.sizes,
-                g.ways,
-                g.cells,
-                g.trace_refs,
-                g.trace_refs as f64 / r.best_secs.max(1e-12),
-            )
-        });
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"refs\": {}, \"best_secs\": {:.6}, \"refs_per_sec\": {:.0}{}}}{}\n",
-            r.name,
-            r.refs,
-            r.best_secs,
-            r.refs_per_sec,
-            grid,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let kernels = results
+        .iter()
+        .map(|r| {
+            let mut fields = vec![
+                ("name", json::s(r.name)),
+                ("refs", Json::Uint(r.refs as u64)),
+                // Microsecond resolution and whole refs/sec are all the
+                // precision the timings carry.
+                ("best_secs", Json::Num((r.best_secs * 1e6).round() / 1e6)),
+                ("refs_per_sec", Json::Uint(r.refs_per_sec.round() as u64)),
+            ];
+            if let Some(g) = &r.grid {
+                let trace_refs_per_sec = g.trace_refs as f64 / r.best_secs.max(1e-12);
+                fields.extend([
+                    ("grid_sizes", Json::Uint(g.sizes as u64)),
+                    ("grid_ways", Json::Uint(g.ways as u64)),
+                    ("grid_cells", Json::Uint(g.cells as u64)),
+                    ("trace_refs", Json::Uint(g.trace_refs as u64)),
+                    (
+                        "trace_refs_per_sec",
+                        Json::Uint(trace_refs_per_sec.round() as u64),
+                    ),
+                ]);
+            }
+            json::obj(fields)
+        })
+        .collect();
+    let bench = json::obj(vec![
+        // v3 adds the fifo_random_policy kernel; every v2 field is kept.
+        ("schema", json::s("smith85-throughput-v3")),
+        ("mode", json::s(mode)),
+        ("journaled", Json::Bool(journaled)),
+        ("trace", json::s(TRACE)),
+        ("trace_len", Json::Uint(len as u64)),
+        ("repeats", Json::Uint(REPEATS as u64)),
+        ("kernels", Json::Arr(kernels)),
+    ]);
+    format!("{bench}\n")
 }
 
 fn main() {

@@ -13,10 +13,12 @@
 //! (hash of trace length and size sweep), so only failed or never-run
 //! experiments execute again.
 //!
-//! Results are plain JSON written without a serializer dependency; the
-//! format is documented in `EXPERIMENTS.md`.
+//! Results and the manifest are compact JSON written and read with the
+//! workspace codec (`smith85_tracelog::json`); the format is documented
+//! in `EXPERIMENTS.md`.
 
 use crate::experiments::{self, ExperimentConfig};
+use smith85_tracelog::json::{self, Json};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -297,12 +299,10 @@ pub fn config_hash(config: &ExperimentConfig) -> String {
     format!("{h:016x}")
 }
 
-/// True if `path` holds a successful result stamped with `hash`.
-///
-/// The check is a substring scan rather than a JSON parse — the runner
-/// itself wrote the file, with known key order; anything unreadable or
-/// unrecognized is simply treated as "no result, run it again".
-/// Whether `path` holds a complete, parseable result for this config.
+/// True if `path` holds a successful result stamped with `hash`: the
+/// file must parse as JSON, say `"status": "ok"` and carry this
+/// `config_hash`. Anything unreadable or unrecognized is treated as "no
+/// result, run it again".
 ///
 /// A checkpoint file can be corrupt — truncated by a crash mid-`fs::write`
 /// on an older version, bit-rotted, or hand-edited. A resume must treat
@@ -314,7 +314,7 @@ fn has_fresh_result(path: &Path, hash: &str) -> bool {
         Ok(text) => text,
         Err(_) => return false,
     };
-    let parsed = match smith85_tracelog::json::parse(&text) {
+    let parsed = match Json::parse(&text) {
         Ok(parsed) => parsed,
         Err(err) => {
             let ctx = smith85_tracelog::current();
@@ -346,13 +346,14 @@ fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
 }
 
 fn result_json(name: &str, hash: &str, duration_ms: u64, rendered: &str) -> String {
-    format!(
-        "{{\n  \"name\": \"{}\",\n  \"status\": \"ok\",\n  \"config_hash\": \"{}\",\n  \"duration_ms\": {},\n  \"rendered\": \"{}\"\n}}\n",
-        json_escape(name),
-        hash,
-        duration_ms,
-        json_escape(rendered),
-    )
+    let result = json::obj(vec![
+        ("name", json::s(name)),
+        ("status", json::s("ok")),
+        ("config_hash", json::s(hash)),
+        ("duration_ms", Json::Uint(duration_ms)),
+        ("rendered", json::s(rendered)),
+    ]);
+    format!("{result}\n")
 }
 
 fn manifest_json(
@@ -361,57 +362,39 @@ fn manifest_json(
     outcomes: &[ExperimentOutcome],
     total_wall_ms: u64,
 ) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"config_hash\": \"{hash}\",\n"));
-    s.push_str(&format!("  \"threads\": {threads},\n"));
-    s.push_str("  \"timing\": {\n");
-    s.push_str(&format!("    \"total_wall_ms\": {total_wall_ms},\n"));
-    s.push_str("    \"phases\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"name\": \"{}\", \"wall_ms\": {}}}{}\n",
-            json_escape(o.name),
-            o.duration_ms,
-            if i + 1 < outcomes.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("    ]\n");
-    s.push_str("  },\n");
-    s.push_str("  \"experiments\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        let error = match &o.error {
-            Some(e) => format!("\"{}\"", json_escape(e)),
-            None => "null".to_string(),
-        };
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"status\": \"{}\", \"duration_ms\": {}, \"error\": {}}}{}\n",
-            json_escape(o.name),
-            o.status.as_str(),
-            o.duration_ms,
-            error,
-            if i + 1 < outcomes.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    let phases = outcomes
+        .iter()
+        .map(|o| {
+            json::obj(vec![
+                ("name", json::s(o.name)),
+                ("wall_ms", Json::Uint(o.duration_ms)),
+            ])
+        })
+        .collect();
+    let experiments = outcomes
+        .iter()
+        .map(|o| {
+            json::obj(vec![
+                ("name", json::s(o.name)),
+                ("status", json::s(o.status.as_str())),
+                ("duration_ms", Json::Uint(o.duration_ms)),
+                ("error", o.error.as_deref().map_or(Json::Null, json::s)),
+            ])
+        })
+        .collect();
+    let manifest = json::obj(vec![
+        ("config_hash", json::s(hash)),
+        ("threads", Json::Uint(threads as u64)),
+        (
+            "timing",
+            json::obj(vec![
+                ("total_wall_ms", Json::Uint(total_wall_ms)),
+                ("phases", Json::Arr(phases)),
+            ]),
+        ),
+        ("experiments", Json::Arr(experiments)),
+    ]);
+    format!("{manifest}\n")
 }
 
 #[cfg(test)]
@@ -488,14 +471,34 @@ mod tests {
         let failed = &report.outcomes[1];
         assert_eq!(failed.name, "boom");
         assert!(failed.error.as_deref().unwrap().contains("deliberate failure"));
-        let manifest = fs::read_to_string(out.join("manifest.json")).unwrap();
-        assert!(manifest.contains("\"status\": \"fail\""), "{manifest}");
-        assert!(manifest.contains("deliberate failure"), "{manifest}");
-        assert!(manifest.contains("\"threads\": 1"), "{manifest}");
-        assert!(manifest.contains("\"total_wall_ms\":"), "{manifest}");
+        let text = fs::read_to_string(out.join("manifest.json")).unwrap();
+        let manifest = Json::parse(&text).unwrap();
+        fn by_name<'a>(list: Option<&'a Json>, name: &str) -> Option<&'a Json> {
+            list.and_then(Json::as_arr)?
+                .iter()
+                .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
+        }
+        let boom = by_name(manifest.get("experiments"), "boom").expect("boom entry");
+        assert_eq!(
+            boom.get("status").and_then(Json::as_str),
+            Some("fail"),
+            "{text}"
+        );
+        let error = boom.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(error.contains("deliberate failure"), "{text}");
+        assert_eq!(manifest.get("threads"), Some(&Json::Uint(1)), "{text}");
+        let timing = manifest.get("timing").expect("timing block");
         assert!(
-            manifest.contains("{\"name\": \"ok_a\", \"wall_ms\":"),
-            "per-phase timing missing: {manifest}"
+            timing.get("total_wall_ms").and_then(Json::as_u64).is_some(),
+            "{text}"
+        );
+        let phase = by_name(timing.get("phases"), "ok_a");
+        assert!(
+            phase
+                .and_then(|p| p.get("wall_ms"))
+                .and_then(Json::as_u64)
+                .is_some(),
+            "per-phase timing missing: {text}"
         );
         assert!(out.join("ok_a.json").exists());
         assert!(!out.join("boom.json").exists());
@@ -558,7 +561,8 @@ mod tests {
         // file, but a truncation can keep both matching substrings, so
         // the resume gate must actually parse.
         let full = fs::read_to_string(out.join("ok_a.json")).unwrap();
-        assert!(full.contains("\"status\": \"ok\""));
+        let parsed = Json::parse(&full).unwrap();
+        assert_eq!(parsed.get("status").and_then(Json::as_str), Some("ok"));
         let cut = (full.find("\"rendered\"").unwrap() + 20).min(full.len() - 3);
         fs::write(out.join("ok_a.json"), &full[..cut]).unwrap();
 
@@ -578,7 +582,7 @@ mod tests {
         assert_eq!(report.count(ExperimentStatus::Skip), 1);
         // The re-run rewrote a parseable checkpoint.
         let repaired = fs::read_to_string(out.join("ok_a.json")).unwrap();
-        assert!(smith85_tracelog::json::parse(&repaired).is_ok());
+        assert!(Json::parse(&repaired).is_ok());
         fs::remove_dir_all(&out).unwrap();
     }
 
@@ -642,12 +646,6 @@ mod tests {
         let mut c = tiny_config();
         c.sizes.push(4096);
         assert_ne!(config_hash(&a), config_hash(&c));
-    }
-
-    #[test]
-    fn json_escape_handles_control_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -13,8 +13,6 @@
 use crate::protocol::{ErrorBody, ErrorCode, Request, Response, MAX_LINE_BYTES};
 use crate::transport::{Endpoint, LoopbackHub, Transport};
 use std::io::{self, BufRead, BufReader, Read, Write};
-#[cfg(unix)]
-use std::path::Path;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -125,44 +123,26 @@ impl ClientError {
     }
 }
 
-/// Whether a call outcome is worth retrying: a typed `overloaded`
-/// response or a refused connection. Everything else — including other
-/// typed errors and other I/O failures — is permanent.
-#[deprecated(note = "use Client::builder() with a retry_policy, or ClientError::is_transient")]
-pub fn is_transient(result: &io::Result<Response>) -> bool {
-    match result {
-        Ok(Response::Error(body)) => body.code == ErrorCode::Overloaded,
-        Err(err) => err.kind() == io::ErrorKind::ConnectionRefused,
-        Ok(_) => false,
-    }
-}
-
-/// Issues `request` with retries per `policy`: reconnect via `connect`
-/// each attempt (a refused connection is one of the retryable failures),
-/// sleeping through `sleep` between attempts. Returns the final outcome,
-/// transient or not, once the budget is exhausted.
-///
-/// # Errors
-///
-/// Whatever the last attempt returned.
-#[deprecated(note = "use Client::builder() with a retry_policy; retries now live on Client::call")]
-pub fn call_with_retry(
-    mut connect: impl FnMut() -> io::Result<Client>,
-    request: &Request,
+/// Runs `attempt` until it succeeds, fails permanently, or `policy`'s
+/// retry budget is spent, sleeping through `sleep` for the jittered
+/// backoff (seeded by `seed`) between attempts. Only
+/// [transient](ClientError::is_transient) failures are retried; the last
+/// outcome is returned as-is. Connecting and calling share this loop.
+fn retry<T>(
     policy: RetryPolicy,
+    seed: u64,
     mut sleep: impl FnMut(Duration),
-) -> io::Result<Response> {
-    let seed = jitter_seed(&request.encode());
-    let mut attempt = 0;
+    mut attempt: impl FnMut() -> Result<T, ClientError>,
+) -> Result<T, ClientError> {
+    let mut tries = 0;
     loop {
-        let result = connect().and_then(|mut client| client.call_raw(request));
-        #[allow(deprecated)]
-        let transient = is_transient(&result);
-        if !transient || attempt >= policy.retries {
-            return result;
+        let outcome = attempt();
+        match &outcome {
+            Err(e) if e.is_transient() && tries < policy.retries => {}
+            _ => return outcome,
         }
-        sleep(Duration::from_millis(policy.delay_ms(attempt, seed)));
-        attempt += 1;
+        sleep(Duration::from_millis(policy.delay_ms(tries, seed)));
+        tries += 1;
     }
 }
 
@@ -266,20 +246,9 @@ impl ClientBuilder {
             }
         }
         let seed = jitter_seed(&format!("{:?}", self.endpoint));
-        let mut attempt = 0;
-        let stream = loop {
-            match self.endpoint.connect() {
-                Ok(stream) => break stream,
-                Err(e)
-                    if e.kind() == io::ErrorKind::ConnectionRefused
-                        && attempt < self.retry.retries =>
-                {
-                    std::thread::sleep(Duration::from_millis(self.retry.delay_ms(attempt, seed)));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
+        let stream = retry(self.retry, seed, std::thread::sleep, || {
+            Ok(self.endpoint.connect()?)
+        })?;
         if let Some(timeout) = self.timeout {
             stream.set_read_timeout(Some(timeout))?;
         }
@@ -333,27 +302,6 @@ impl Client {
         }
     }
 
-    /// Connects over TCP, e.g. `Client::connect("127.0.0.1:4085")`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the connect or clone failure.
-    #[deprecated(note = "use Client::builder().addr(..).connect()")]
-    pub fn connect(addr: &str) -> io::Result<Client> {
-        Client::builder().addr(addr).connect().map_err(io_from)
-    }
-
-    /// Connects to a Unix-domain socket (unix targets only).
-    ///
-    /// # Errors
-    ///
-    /// Returns the connect or clone failure.
-    #[cfg(unix)]
-    #[deprecated(note = "use Client::builder().unix(..).connect()")]
-    pub fn connect_unix(path: &Path) -> io::Result<Client> {
-        Client::builder().unix(path).connect().map_err(io_from)
-    }
-
     /// Sets a read timeout for responses (None = block forever).
     ///
     /// # Errors
@@ -377,9 +325,14 @@ impl Client {
         let effective = self.with_deadline(request);
         let line = effective.encode_with_trace(self.trace_id.as_deref());
         let seed = jitter_seed(&line);
-        let policy = self.retry;
-        let mut attempt = 0;
-        loop {
+        // A failed transport means this stream is dead: the next attempt
+        // reconnects first. Transient overloads keep the connection.
+        let mut reconnect = false;
+        retry(self.retry, seed, std::thread::sleep, || {
+            if reconnect {
+                self.reconnect()?;
+                reconnect = false;
+            }
             let outcome = match self.exchange(&line) {
                 Ok(Response::Error(body)) => Err(ClientError::Server(body)),
                 Ok(response) => Ok(response),
@@ -388,23 +341,14 @@ impl Client {
                 }
                 Err(e) => Err(ClientError::Io(e)),
             };
-            let transient = outcome.as_ref().err().is_some_and(ClientError::is_transient);
-            if !transient || attempt >= policy.retries {
-                return outcome;
-            }
-            std::thread::sleep(Duration::from_millis(policy.delay_ms(attempt, seed)));
-            attempt += 1;
-            // A refused connection means this stream is dead; transient
-            // overloads keep the existing connection.
-            if matches!(&outcome, Err(ClientError::Io(_))) {
-                self.reconnect()?;
-            }
-        }
+            reconnect = matches!(outcome, Err(ClientError::Io(_)));
+            outcome
+        })
     }
 
     /// Sends one request and reads its raw response — no deadline or
     /// trace injection, no retries, server errors as `Ok(Error(..))`.
-    /// The untyped surface [`call_with_retry`] and wire-level tests use.
+    /// The untyped surface load generators and wire-level tests use.
     ///
     /// # Errors
     ///
@@ -494,14 +438,6 @@ impl Client {
     }
 }
 
-/// Maps a [`ClientError`] back onto the deprecated io-flavored surface.
-fn io_from(e: ClientError) -> io::Error {
-    match e {
-        ClientError::Io(e) => e,
-        other => io::Error::other(other.to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,7 +492,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn retry_exhausts_budget_on_refused_connections() {
         let mut attempts = 0u32;
         let mut sleeps: Vec<u64> = Vec::new();
@@ -564,41 +499,50 @@ mod tests {
             retries: 3,
             backoff_ms: 10,
         };
-        let result = call_with_retry(
+        let result: Result<(), _> = retry(
+            policy,
+            jitter_seed(&Request::Ping.encode()),
+            |d| sleeps.push(d.as_millis() as u64),
             || {
                 attempts += 1;
-                Err(io::Error::new(io::ErrorKind::ConnectionRefused, "refused"))
+                Err(io::Error::new(io::ErrorKind::ConnectionRefused, "refused").into())
             },
-            &Request::Ping,
-            policy,
-            |d| sleeps.push(d.as_millis() as u64),
         );
         assert_eq!(attempts, 4, "1 initial try + 3 retries");
         assert_eq!(sleeps.len(), 3, "sleeps only between attempts");
-        assert_eq!(result.unwrap_err().kind(), io::ErrorKind::ConnectionRefused);
+        match result {
+            Err(ClientError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::ConnectionRefused),
+            other => panic!("unexpected: {other:?}"),
+        }
         // Backoff must not shrink below the jittered floor of the base.
         assert!(sleeps.iter().all(|&ms| ms <= MAX_BACKOFF_MS));
     }
 
     #[test]
-    #[allow(deprecated)]
     fn permanent_failures_do_not_retry() {
-        let mut attempts = 0u32;
         let policy = RetryPolicy {
             retries: 5,
             backoff_ms: 10,
         };
-        let result = call_with_retry(
-            || {
-                attempts += 1;
-                Err(io::Error::new(io::ErrorKind::PermissionDenied, "denied"))
-            },
-            &Request::Ping,
-            policy,
-            |_| panic!("must not sleep on a permanent failure"),
-        );
-        assert_eq!(attempts, 1);
-        assert_eq!(result.unwrap_err().kind(), io::ErrorKind::PermissionDenied);
+        let permanent = [
+            ClientError::Io(io::Error::new(io::ErrorKind::PermissionDenied, "denied")),
+            ClientError::Server(ErrorBody::new(ErrorCode::BadRequest, "nope")),
+        ];
+        for failure in permanent {
+            let mut attempts = 0u32;
+            let mut failure = Some(failure);
+            let result: Result<(), _> = retry(
+                policy,
+                7,
+                |_| panic!("must not sleep on a permanent failure"),
+                || {
+                    attempts += 1;
+                    Err(failure.take().expect("called once"))
+                },
+            );
+            assert_eq!(attempts, 1);
+            assert!(!result.unwrap_err().is_transient());
+        }
     }
 
     #[test]

@@ -55,7 +55,6 @@ pub mod client;
 #[cfg(unix)]
 pub(crate) mod event_loop;
 pub mod exec;
-pub mod json;
 #[cfg(unix)]
 pub(crate) mod poll;
 pub mod protocol;
@@ -67,8 +66,9 @@ pub mod signal;
 pub mod stats;
 pub mod transport;
 
-#[allow(deprecated)]
-pub use client::{call_with_retry, is_transient};
+/// The workspace's JSON codec, re-exported for code that imports it from here.
+pub use smith85_tracelog::json;
+
 pub use client::{Client, ClientBuilder, ClientError, RetryPolicy, MAX_BACKOFF_MS};
 pub use protocol::{
     CacheSpec, CatalogResult, ErrorBody, ErrorCode, Request, Response, RouterCounters,

@@ -17,10 +17,10 @@
 //!   round-trip formatting; a client reads back the bit-identical `f64`
 //!   the simulator produced.
 
-use crate::json::{self, Json};
 use smith85_obs::{
     BucketSnapshot, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, RegistrySnapshot,
 };
+use smith85_tracelog::json::{self, Json};
 use std::fmt;
 
 /// The wire protocol version this build speaks. Encoded requests carry
@@ -1713,7 +1713,7 @@ mod tests {
         for bad in [long.as_str(), "abc def", "x\"y", ""] {
             let line = format!(
                 "{{\"type\":\"ping\",\"trace_id\":{}}}",
-                crate::json::s(bad)
+                json::s(bad)
             );
             let (request, trace) = Request::decode_with_trace(&line).unwrap();
             assert_eq!(request, Request::Ping);

@@ -10,8 +10,8 @@
 //! - [`RingJournal`] — a lock-sharded bounded in-memory ring; overflow
 //!   drops the *oldest* events and counts the drops, so the newest
 //!   evidence is always present when something goes wrong.
-//! - [`NdjsonWriter`] — one JSON object per line to a file (hand-rolled
-//!   JSON, matching the workspace's no-op serde shim). Lines are written
+//! - [`NdjsonWriter`] — one JSON object per line to a file, written with
+//!   the workspace's one JSON codec ([`json`]). Lines are written
 //!   by a dedicated writer thread that flushes after each drained batch,
 //!   so `smith85 trace follow` can tail a live journal while emission
 //!   stays off the request path; [`EventSink::flush`] blocks until
@@ -683,10 +683,11 @@ impl NdjsonWriter {
     pub fn create<P: AsRef<Path>>(path: P) -> std::io::Result<NdjsonWriter> {
         let file = File::create(path)?;
         let mut writer = BufWriter::new(file);
-        writeln!(
-            writer,
-            "{{\"v\":{JOURNAL_VERSION},\"schema\":\"{JOURNAL_SCHEMA}\"}}"
-        )?;
+        let header = json::obj(vec![
+            ("v", json::Json::Uint(JOURNAL_VERSION)),
+            ("schema", json::s(JOURNAL_SCHEMA)),
+        ]);
+        writeln!(writer, "{header}")?;
         writer.flush()?;
 
         let shared = Arc::new((
@@ -752,46 +753,39 @@ impl NdjsonWriter {
         }
     }
 
-    /// Encodes one event as its NDJSON line (no trailing newline).
+    /// Encodes one event as its NDJSON line (no trailing newline),
+    /// streaming straight into one `String` with the codec's string and
+    /// number writers.
     pub fn encode(event: &TraceEvent) -> String {
+        use std::fmt::Write as _;
         let mut line = String::with_capacity(128);
-        line.push_str("{\"ts_us\":");
-        line.push_str(&event.ts_us.to_string());
-        line.push_str(",\"kind\":\"");
-        line.push_str(event.kind.as_str());
-        line.push_str("\",\"sev\":\"");
-        line.push_str(event.severity.as_str());
-        line.push_str("\",\"name\":\"");
-        json_escape_into(&mut line, &event.name);
-        line.push_str("\",\"trace\":\"");
-        json_escape_into(&mut line, &event.trace_id);
-        line.push_str("\",\"span\":");
-        line.push_str(&event.span_id.to_string());
-        line.push_str(",\"parent\":");
-        line.push_str(&event.parent_span_id.to_string());
-        line.push_str(",\"fields\":{");
+        let _ = write!(
+            line,
+            "{{\"ts_us\":{},\"kind\":\"{}\",\"sev\":\"{}\",\"name\":",
+            event.ts_us,
+            event.kind.as_str(),
+            event.severity.as_str()
+        );
+        json::write_str(&mut line, &event.name);
+        line.push_str(",\"trace\":");
+        json::write_str(&mut line, &event.trace_id);
+        let _ = write!(
+            line,
+            ",\"span\":{},\"parent\":{},\"fields\":{{",
+            event.span_id, event.parent_span_id
+        );
         for (i, (key, value)) in event.fields.iter().enumerate() {
             if i > 0 {
                 line.push(',');
             }
-            line.push('"');
-            json_escape_into(&mut line, key);
-            line.push_str("\":");
+            json::write_str(&mut line, key);
+            line.push(':');
             match value {
-                FieldValue::Str(s) => {
-                    line.push('"');
-                    json_escape_into(&mut line, s);
-                    line.push('"');
+                FieldValue::Str(s) => json::write_str(&mut line, s),
+                FieldValue::U64(v) => {
+                    let _ = write!(line, "{v}");
                 }
-                FieldValue::U64(v) => line.push_str(&v.to_string()),
-                FieldValue::F64(v) => {
-                    if v.is_finite() {
-                        line.push_str(&v.to_string());
-                    } else {
-                        // JSON has no Inf/NaN; journal them as null.
-                        line.push_str("null");
-                    }
-                }
+                FieldValue::F64(v) => json::write_f64(&mut line, *v),
             }
         }
         line.push_str("}}");
@@ -840,22 +834,6 @@ impl Drop for NdjsonWriter {
         }
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
-        }
-    }
-}
-
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
         }
     }
 }
@@ -975,9 +953,85 @@ mod tests {
             ],
         };
         let line = NdjsonWriter::encode(&event);
-        let value = json::parse(&line).expect("line parses");
+        let value = json::Json::parse(&line).expect("line parses");
         let back = report::parse_event(&value).expect("event decodes");
         assert_eq!(back, event);
+    }
+
+    /// Every field value comes back from a journal line as the same
+    /// variant with the same value: whole floats stay `F64` (they are
+    /// written with a `.0`) and integers past 2^53 stay exact `U64`.
+    #[test]
+    fn ndjson_field_values_round_trip_exactly() {
+        let fields: Vec<(String, FieldValue)> = [
+            FieldValue::Str("quote \" back\\slash \n\r\t\u{1}\u{1f} π".to_string()),
+            FieldValue::U64(0),
+            FieldValue::U64((1 << 53) + 1),
+            FieldValue::U64(u64::MAX),
+            FieldValue::F64(0.0),
+            FieldValue::F64(2.0),
+            FieldValue::F64(0.25),
+            FieldValue::F64(1e300),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| (format!("f{i}"), v))
+        .collect();
+        let event = TraceEvent {
+            ts_us: 9,
+            kind: EventKind::Event,
+            severity: Severity::Info,
+            name: "fields".to_string(),
+            trace_id: Arc::from("t"),
+            span_id: 1,
+            parent_span_id: 0,
+            fields,
+        };
+        let line = NdjsonWriter::encode(&event);
+        let value = json::Json::parse(&line).expect("line parses");
+        let back = report::parse_event(&value).expect("event decodes");
+        assert_eq!(back.fields.len(), event.fields.len());
+        for ((key, want), (_, got)) in event.fields.iter().zip(&back.fields) {
+            let same = match (want, got) {
+                (FieldValue::F64(a), FieldValue::F64(b)) => a.to_bits() == b.to_bits(),
+                (a, b) => a == b,
+            };
+            assert!(same, "{key}: wrote {want:?}, read {got:?} from {line}");
+        }
+
+        // The same through a journal file and read_journal.
+        let path = std::env::temp_dir().join(format!(
+            "smith85-tracelog-fields-{}-{}.ndjson",
+            std::process::id(),
+            now_us()
+        ));
+        let writer = NdjsonWriter::create(&path).expect("create journal");
+        writer.emit(event.clone());
+        drop(writer);
+        let (header, events) = report::read_journal(&path).expect("read journal");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(header.map(|h| h.version), Some(JOURNAL_VERSION));
+        assert_eq!(events, vec![back]);
+    }
+
+    /// Journals written before floats carried a fraction still read:
+    /// a whole float written as `2` comes back as `U64(2)`, as it always
+    /// has.
+    #[test]
+    fn old_format_journal_lines_still_read() {
+        let line = r#"{"ts_us":5,"kind":"span_end","sev":"info","name":"request","trace":"abc","span":2,"parent":1,"fields":{"dur_us":17,"ratio":2,"miss":0.125,"workload":"VCCOM"}}"#;
+        let value = json::Json::parse(line).expect("old line parses");
+        let event = report::parse_event(&value).expect("old event decodes");
+        assert_eq!(event.kind, EventKind::SpanEnd);
+        assert_eq!(
+            event.fields,
+            vec![
+                ("dur_us".to_string(), FieldValue::U64(17)),
+                ("ratio".to_string(), FieldValue::U64(2)),
+                ("miss".to_string(), FieldValue::F64(0.125)),
+                ("workload".to_string(), FieldValue::Str("VCCOM".to_string())),
+            ]
+        );
     }
 
     #[test]
@@ -1009,7 +1063,7 @@ mod tests {
         let contents = std::fs::read_to_string(&path).expect("read journal");
         let lines: Vec<&str> = contents.lines().collect();
         assert_eq!(lines.len(), 2, "{contents}");
-        let header = json::parse(lines[0]).expect("header parses");
+        let header = json::Json::parse(lines[0]).expect("header parses");
         assert_eq!(header.get("v").and_then(|v| v.as_u64()), Some(1));
         assert_eq!(
             header.get("schema").and_then(|v| v.as_str()),

@@ -3,8 +3,8 @@
 //! The build environment cannot reach crates.io, so the workspace patches
 //! `serde` to this crate. No code in the workspace actually serializes
 //! through serde (there is no format crate in the sanctioned dependency
-//! set; persistence uses the repo's own trace formats and the hand-rolled
-//! JSON in `smith85-core::runner`). The derives exist to keep the public
+//! set; persistence uses the repo's own trace formats and the workspace
+//! JSON codec in `smith85-tracelog::json`). The derives exist to keep the public
 //! types *ready* for a real serde, so this shim preserves exactly that
 //! contract: `Serialize`/`Deserialize`/`DeserializeOwned` bounds are
 //! satisfiable for every type, and `#[derive(Serialize, Deserialize)]`
