@@ -14,7 +14,12 @@ fn bench_generation(c: &mut Criterion) {
     for name in ["MVS1", "VCCOM", "ZGREP", "TWOD", "PL0"] {
         let spec = catalog::by_name(name).expect("catalog trace");
         group.bench_with_input(BenchmarkId::from_parameter(name), &spec, |b, spec| {
-            b.iter(|| spec.stream().take(REFS).map(|a| a.addr.get()).sum::<u64>())
+            b.iter(|| {
+                spec.stream()
+                    .take(REFS)
+                    .map(|a| a.addr().get())
+                    .sum::<u64>()
+            })
         });
     }
     group.finish();
@@ -32,7 +37,7 @@ fn bench_mix(c: &mut Criterion) {
             let streams: Vec<_> = members.iter().map(|p| p.generator()).collect();
             RoundRobinMix::new(streams, 20_000)
                 .take(REFS)
-                .map(|a| a.addr.get())
+                .map(|a| a.addr().get())
                 .sum::<u64>()
         })
     });
@@ -65,7 +70,7 @@ fn bench_adapters(c: &mut Criterion) {
     group.bench_function("interface_8b_remembering", |b| {
         b.iter(|| {
             InterfaceAdapter::new(spec.stream().take(REFS), InterfaceSpec::new(8, true))
-                .map(|a| a.addr.get())
+                .map(|a| a.addr().get())
                 .sum::<u64>()
         })
     });
@@ -73,7 +78,7 @@ fn bench_adapters(c: &mut Criterion) {
         b.iter(|| {
             WithInterrupts::new(spec.stream(), 5_000.0, 400.0, 1)
                 .take(REFS)
-                .map(|a| a.addr.get())
+                .map(|a| a.addr().get())
                 .sum::<u64>()
         })
     });

@@ -129,12 +129,14 @@ impl Cache {
             }
         }
         self.refs_since_purge += 1;
-        self.stats.record_ref(access.kind, access.size);
+        self.stats.record_ref(access.kind(), access.size());
 
         let line = access.line(self.config.line_size());
-        match access.kind {
-            AccessKind::InstructionFetch | AccessKind::Read => self.handle_read(line, access.kind),
-            AccessKind::Write => self.handle_write(line, access.size),
+        match access.kind() {
+            AccessKind::InstructionFetch | AccessKind::Read => {
+                self.handle_read(line, access.kind())
+            }
+            AccessKind::Write => self.handle_write(line, access.size()),
         }
 
         if self.config.fetch_policy() == FetchPolicy::PrefetchAlways {

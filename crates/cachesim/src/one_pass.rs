@@ -649,8 +649,8 @@ impl OnePassEngine {
         self.clock.since += 1;
         self.step(
             access.line(self.line_size).get(),
-            access.kind,
-            access.size,
+            access.kind(),
+            access.size(),
         );
     }
 
@@ -709,9 +709,9 @@ impl OnePassEngine {
         let mut sizes = [0u8; CHUNK];
         for chunk in trace.chunks(CHUNK) {
             for (i, a) in chunk.iter().enumerate() {
-                lines[i] = a.addr.get() >> shift;
-                kinds[i] = a.kind.index() as u8;
-                sizes[i] = a.size;
+                lines[i] = a.addr().get() >> shift;
+                kinds[i] = a.kind().index() as u8;
+                sizes[i] = a.size();
             }
             for i in 0..chunk.len() {
                 self.step(
@@ -995,7 +995,7 @@ impl SplitOnePassEngine {
             self.ifetches.clear();
             self.data_refs.clear();
             for &access in epoch {
-                if access.kind.is_ifetch() {
+                if access.kind().is_ifetch() {
                     self.ifetches.push(access);
                 } else {
                     self.data_refs.push(access);

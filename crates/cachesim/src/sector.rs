@@ -138,9 +138,9 @@ impl SectorCache {
 
     /// Processes one reference.
     pub fn access(&mut self, access: MemoryAccess) {
-        self.stats.record_ref(access.kind, access.size);
+        self.stats.record_ref(access.kind(), access.size());
         self.clock += 1;
-        let addr = access.addr.get();
+        let addr = access.addr().get();
         let tag = addr / self.config.sector_bytes as u64;
         let sub = (addr % self.config.sector_bytes as u64) / self.config.fetch_bytes as u64;
         let bit = 1u64 << sub;
@@ -149,27 +149,27 @@ impl SectorCache {
         if let Some(sector) = self.sectors.iter_mut().find(|s| s.tag == tag) {
             sector.stamp = clock;
             if sector.valid & bit != 0 {
-                if access.kind.is_write() {
+                if access.kind().is_write() {
                     sector.dirty |= bit;
                 }
                 return;
             }
             // Subblock miss within a resident sector.
-            self.stats.record_miss(access.kind);
+            self.stats.record_miss(access.kind());
             self.stats.demand_fetches += 1;
             self.stats.bytes_fetched += self.config.fetch_bytes as u64;
             sector.valid |= bit;
-            if access.kind.is_write() {
+            if access.kind().is_write() {
                 sector.dirty |= bit;
             }
             return;
         }
 
         // Sector miss: evict LRU if full, then install with one subblock.
-        self.stats.record_miss(access.kind);
+        self.stats.record_miss(access.kind());
         self.stats.demand_fetches += 1;
         self.stats.bytes_fetched += self.config.fetch_bytes as u64;
-        let dirty = if access.kind.is_write() { bit } else { 0 };
+        let dirty = if access.kind().is_write() { bit } else { 0 };
         let fresh = Sector {
             tag,
             valid: bit,

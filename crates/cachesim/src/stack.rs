@@ -85,7 +85,7 @@ impl StackAnalyzer {
 
     /// Records one reference.
     pub fn observe(&mut self, access: MemoryAccess) {
-        self.refs[access.kind.index()] += 1;
+        self.refs[access.kind().index()] += 1;
         let line = access.line(self.line_size).get();
         self.time += 1;
         if self.time > self.fenwick.capacity() {
@@ -94,7 +94,7 @@ impl StackAnalyzer {
         let t = self.time;
         match self.last_pos.insert(line, t) {
             None => {
-                self.cold[access.kind.index()] += 1;
+                self.cold[access.kind().index()] += 1;
             }
             Some(p) => {
                 // Distinct lines whose last access lies strictly between
@@ -103,7 +103,7 @@ impl StackAnalyzer {
                 if self.hist.len() <= distance {
                     self.hist.resize(distance + 1, [0; 3]);
                 }
-                self.hist[distance][access.kind.index()] += 1;
+                self.hist[distance][access.kind().index()] += 1;
                 self.fenwick.add(p, -1);
             }
         }

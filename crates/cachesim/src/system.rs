@@ -197,7 +197,7 @@ impl Simulator for SplitCache {
             }
         }
         self.refs_since_purge += 1;
-        if access.kind.is_ifetch() {
+        if access.kind().is_ifetch() {
             self.icache.access(access);
         } else {
             self.dcache.access(access);

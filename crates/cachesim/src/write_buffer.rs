@@ -91,10 +91,10 @@ impl WriteBuffer {
     /// Presents a store. Accesses spanning multiple units occupy one
     /// entry per unit.
     pub fn write(&mut self, access: MemoryAccess) {
-        debug_assert!(access.kind.is_write(), "write buffer fed a non-store");
+        debug_assert!(access.kind().is_write(), "write buffer fed a non-store");
         self.stats.stores += 1;
-        let first = access.addr.get() / self.width_bytes;
-        let last = (access.addr.get() + access.size.max(1) as u64 - 1) / self.width_bytes;
+        let first = access.addr().get() / self.width_bytes;
+        let last = (access.addr().get() + access.size().max(1) as u64 - 1) / self.width_bytes;
         for unit in first..=last {
             if self.entries.contains(&unit) {
                 self.stats.combined += 1;
@@ -128,9 +128,9 @@ impl WriteBuffer {
     /// writes buffer; instruction fetches are ignored) and flushes.
     pub fn run<I: IntoIterator<Item = MemoryAccess>>(&mut self, stream: I) {
         for access in stream {
-            match access.kind {
+            match access.kind() {
                 k if k.is_write() => self.write(access),
-                smith85_trace::AccessKind::Read => self.read(access.addr),
+                smith85_trace::AccessKind::Read => self.read(access.addr()),
                 _ => {}
             }
         }

@@ -152,9 +152,9 @@ proptest! {
     #[test]
     fn write_buffer_conserves_stores(stream in arb_stream(400)) {
         let mut wb = WriteBuffer::new(4, 4);
-        let stores = stream.iter().filter(|a| a.kind.is_write()).count() as u64;
+        let stores = stream.iter().filter(|a| a.kind().is_write()).count() as u64;
         for a in &stream {
-            if a.kind.is_write() {
+            if a.kind().is_write() {
                 wb.write(*a);
             }
         }

@@ -239,7 +239,7 @@ pub fn run(config: &ExperimentConfig) -> Ablations {
     let write_combining = parallel_map(config.threads, representative_profiles(), |p| {
         let trace = config.pool.profile(&p, len);
         let replay = &trace.as_slice()[..len];
-        let stores = replay.iter().filter(|a| a.kind.is_write()).count();
+        let stores = replay.iter().filter(|a| a.kind().is_write()).count();
         let memory_writes_per_1000 = COMBINE_WIDTHS
             .iter()
             .map(|&width| {

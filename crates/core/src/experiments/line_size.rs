@@ -70,7 +70,7 @@ pub fn run(config: &ExperimentConfig) -> LineSizeStudy {
         // replaying the same pooled trace.
         let trace = config.workload_trace(&w);
         let replay = &trace.as_slice()[..len];
-        let demanded_bytes: u64 = replay.iter().map(|a| a.size as u64).sum();
+        let demanded_bytes: u64 = replay.iter().map(|a| a.size() as u64).sum();
         let mut profiles = Vec::new();
         for &ls in LINE_SIZES.iter() {
             let mut a = StackAnalyzer::with_line_size_and_capacity(ls, len);

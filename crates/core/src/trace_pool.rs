@@ -131,7 +131,7 @@ impl TracePool {
     /// the unfiltered trace, so it pools under its own key).
     pub fn ifetch_stream(&self, profile: &ProgramProfile, len: usize) -> Arc<Trace> {
         self.entry(format!("ifetch/{}", profile_key(profile)), len, || {
-            collect(profile.generator().filter(|a| a.kind.is_ifetch()), len)
+            collect(profile.generator().filter(|a| a.kind().is_ifetch()), len)
         })
     }
 
@@ -139,7 +139,7 @@ impl TracePool {
     /// (mixes keep their round-robin interleaving before the filter).
     pub fn ifetch_workload(&self, workload: &Workload, len: usize) -> Arc<Trace> {
         self.entry(format!("ifetch/{}", workload_key(workload)), len, || {
-            collect(workload.stream().filter(|a| a.kind.is_ifetch()), len)
+            collect(workload.stream().filter(|a| a.kind().is_ifetch()), len)
         })
     }
 
@@ -540,11 +540,11 @@ mod tests {
         let _full = pool.profile(&p, 2_000);
         let ifetches = pool.ifetch_stream(&p, 1_000);
         assert_eq!(ifetches.len(), 1_000);
-        assert!(ifetches.iter().all(|a| a.kind.is_ifetch()));
+        assert!(ifetches.iter().all(|a| a.kind().is_ifetch()));
         assert_eq!(pool.stats().entries, 2);
         let fresh: Vec<MemoryAccess> = p
             .generator()
-            .filter(|a| a.kind.is_ifetch())
+            .filter(|a| a.kind().is_ifetch())
             .take(1_000)
             .collect();
         assert_eq!(ifetches.as_slice(), &fresh[..]);

@@ -209,8 +209,8 @@ mod tests {
     #[test]
     fn every_access_is_a_read_of_a_known_destination() {
         for access in profile().generator().take(5_000) {
-            assert_eq!(access.kind, AccessKind::Read);
-            let raw = access.addr.get();
+            assert_eq!(access.kind(), AccessKind::Read);
+            let raw = access.addr().get();
             assert!(raw >= NETWORK_BASE);
             assert_eq!((raw - NETWORK_BASE) % DEST_SPACING, 0);
             assert!((raw - NETWORK_BASE) / DEST_SPACING < 500);
@@ -222,7 +222,7 @@ mod tests {
         let trace: Vec<_> = profile().generator().take(20_000).collect();
         let repeats = trace
             .windows(2)
-            .filter(|w| w[0].addr == w[1].addr)
+            .filter(|w| w[0].addr() == w[1].addr())
             .count();
         let fraction = repeats as f64 / (trace.len() - 1) as f64;
         // train_prob 0.6 means ~60% of packets continue the train (a few
@@ -237,7 +237,7 @@ mod tests {
             p.locality = locality;
             let mut set = std::collections::HashSet::new();
             for a in p.generator().take(10_000) {
-                set.insert(a.addr.get());
+                set.insert(a.addr().get());
             }
             set.len()
         };

@@ -179,11 +179,11 @@ mod tests {
     #[test]
     fn addresses_stay_in_the_footprint() {
         for access in profile().generator().take(5_000) {
-            let raw = access.addr.get();
+            let raw = access.addr().get();
             assert!(raw >= STORAGE_BASE);
             assert_eq!((raw - STORAGE_BASE) % BLOCK_SPACING, 0, "{raw:#x}");
             assert!((raw - STORAGE_BASE) / BLOCK_SPACING < 1_000);
-            assert_ne!(access.kind, AccessKind::InstructionFetch);
+            assert_ne!(access.kind(), AccessKind::InstructionFetch);
         }
     }
 
@@ -192,7 +192,7 @@ mod tests {
         let reads = profile()
             .generator()
             .take(20_000)
-            .filter(|a| a.kind == AccessKind::Read)
+            .filter(|a| a.kind() == AccessKind::Read)
             .count();
         let fraction = reads as f64 / 20_000.0;
         assert!((fraction - 0.7).abs() < 0.02, "read fraction {fraction}");
@@ -205,7 +205,7 @@ mod tests {
         let trace: Vec<_> = p.generator().take(20_000).collect();
         let sequential = trace
             .windows(2)
-            .filter(|w| w[1].addr.get() == w[0].addr.get() + BLOCK_SPACING)
+            .filter(|w| w[1].addr().get() == w[0].addr().get() + BLOCK_SPACING)
             .count();
         let fraction = sequential as f64 / (trace.len() - 1) as f64;
         assert!((fraction - 0.8).abs() < 0.05, "sequential fraction {fraction}");
@@ -219,7 +219,7 @@ mod tests {
             p.seq_prob = 0.0;
             let mut set = std::collections::HashSet::new();
             for a in p.generator().take(10_000) {
-                set.insert(a.addr.get());
+                set.insert(a.addr().get());
             }
             set.len()
         };

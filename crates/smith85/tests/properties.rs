@@ -115,7 +115,7 @@ proptest! {
             split.access(*a);
             unified.access(*a);
         }
-        let ifetches = trace.iter().filter(|a| a.kind.is_ifetch()).count() as u64;
+        let ifetches = trace.iter().filter(|a| a.kind().is_ifetch()).count() as u64;
         prop_assert_eq!(split.instruction_stats().total_refs(), ifetches);
         prop_assert_eq!(
             split.total_stats().total_refs(),

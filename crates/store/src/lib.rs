@@ -735,6 +735,24 @@ mod tests {
     }
 
     #[test]
+    fn trace_with_an_unrepresentable_address_is_quarantined() {
+        let root = tmp_root("wideaddr");
+        let store = Store::open(&root).unwrap();
+        let mut payload = Vec::new();
+        trace_io::write_binary(&mut payload, &sample_trace(3)).unwrap();
+        // Widen the second record's address past `ADDR_BITS`; the record
+        // CRC is computed over this payload, so only decoding can catch it.
+        payload[20..28].copy_from_slice(&(1u64 << smith85_trace::ADDR_BITS).to_le_bytes());
+        store
+            .put_record("t/wide", RecordKind::Trace, &payload)
+            .unwrap();
+        assert!(store.get_trace("t/wide").is_none());
+        assert_eq!(store.stats().corrupt_quarantined, 1);
+        assert_eq!(fs::read_dir(store.quarantine_dir()).unwrap().count(), 1);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn reopen_rebuilds_index_and_serves() {
         let root = tmp_root("reopen");
         let trace = sample_trace(200);

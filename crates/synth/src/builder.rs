@@ -226,7 +226,10 @@ mod tests {
         assert!((p.write_fraction() - 0.08).abs() < 1e-12);
         // Architecture drives the data word size.
         let t = p.generate(500);
-        assert!(t.iter().filter(|a| !a.kind.is_ifetch()).all(|a| a.size == 8));
+        assert!(t
+            .iter()
+            .filter(|a| !a.kind().is_ifetch())
+            .all(|a| a.size() == 8));
     }
 
     #[test]

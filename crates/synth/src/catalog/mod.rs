@@ -417,8 +417,8 @@ mod tests {
             let t = s.generate(500);
             let word = s.arch().word_bytes();
             for a in &t {
-                if !a.kind.is_ifetch() {
-                    assert_eq!(a.size, word, "{}", s.name());
+                if !a.kind().is_ifetch() {
+                    assert_eq!(a.size(), word, "{}", s.name());
                 }
             }
         }

@@ -209,7 +209,7 @@ mod tests {
         let stream = WithInterrupts::new(user, 1_000.0, 100.0, 3);
         let os_refs = stream
             .take(60_000)
-            .filter(|a| a.addr.get() >= OS_REGION_BASE)
+            .filter(|a| a.addr().get() >= OS_REGION_BASE)
             .count();
         // Expected share: 100 / 1100 ≈ 9%.
         let share = os_refs as f64 / 60_000.0;
@@ -221,7 +221,7 @@ mod tests {
         let run = || {
             let user = catalog::by_name("ZGREP").unwrap().stream();
             let mut s = WithInterrupts::new(user, 500.0, 50.0, 9);
-            let v: Vec<u64> = s.by_ref().take(5_000).map(|a| a.addr.get()).collect();
+            let v: Vec<u64> = s.by_ref().take(5_000).map(|a| a.addr().get()).collect();
             (v, s.interrupts())
         };
         let (a, ia) = run();
@@ -237,22 +237,24 @@ mod tests {
         let stream = WithDma::new(user, 2_000.0, 64.0, 4096, 8, 1);
         let dma: Vec<MemoryAccess> = stream
             .take(50_000)
-            .filter(|a| a.addr.get() >= DMA_REGION_BASE)
+            .filter(|a| a.addr().get() >= DMA_REGION_BASE)
             .collect();
         assert!(!dma.is_empty());
-        assert!(dma.iter().all(|a| a.kind.is_write()));
-        assert!(dma
-            .iter()
-            .all(|a| a.addr.get() < DMA_REGION_BASE + 4096));
+        assert!(dma.iter().all(|a| a.kind().is_write()));
+        assert!(dma.iter().all(|a| a.addr().get() < DMA_REGION_BASE + 4096));
     }
 
     #[test]
     fn user_references_pass_through_unchanged() {
-        let user: Vec<MemoryAccess> = catalog::by_name("PL0").unwrap().generate(2_000).into_inner();
-        let out: Vec<MemoryAccess> = WithInterrupts::new(user.clone().into_iter(), 10_000.0, 10.0, 2)
-            .take(2_000)
-            .filter(|a| a.addr.get() < OS_REGION_BASE)
-            .collect();
+        let user: Vec<MemoryAccess> = catalog::by_name("PL0")
+            .unwrap()
+            .generate(2_000)
+            .into_inner();
+        let out: Vec<MemoryAccess> =
+            WithInterrupts::new(user.clone().into_iter(), 10_000.0, 10.0, 2)
+                .take(2_000)
+                .filter(|a| a.addr().get() < OS_REGION_BASE)
+                .collect();
         // The user refs that did come through are a prefix of the original.
         assert_eq!(&user[..out.len()], &out[..]);
     }

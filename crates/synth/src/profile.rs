@@ -258,7 +258,7 @@ pub fn example_profile() -> ProgramProfile {
 pub fn kind_counts(trace: &Trace) -> [u64; 3] {
     let mut counts = [0u64; 3];
     for a in trace {
-        counts[a.kind.index()] += 1;
+        counts[a.kind().index()] += 1;
     }
     counts
 }
@@ -308,10 +308,10 @@ mod tests {
     fn code_and_data_regions_disjoint() {
         let p = example_profile();
         for a in &p.generate(20_000) {
-            if a.kind.is_ifetch() {
-                assert!(a.addr.get() < DATA_BASE);
+            if a.kind().is_ifetch() {
+                assert!(a.addr().get() < DATA_BASE);
             } else {
-                assert!(a.addr.get() >= DATA_BASE);
+                assert!(a.addr().get() >= DATA_BASE);
             }
         }
     }

@@ -204,47 +204,142 @@ impl fmt::Display for AccessKind {
     }
 }
 
+/// Number of address bits a [`MemoryAccess`] can hold: byte addresses
+/// must be below `2^ADDR_BITS`.
+///
+/// The widest address the workspace generates is under `2^47` (the network
+/// family's base is `2^46`, and the multiprogramming mixer strides members
+/// by `2^40`), so 54 bits leave room while the packed word keeps a full
+/// 8-bit size.
+pub const ADDR_BITS: u32 = 54;
+
+const KIND_BITS: u32 = 2;
+const SIZE_SHIFT: u32 = KIND_BITS;
+const ADDR_SHIFT: u32 = SIZE_SHIFT + u8::BITS;
+const KIND_MASK: u64 = (1 << KIND_BITS) - 1;
+/// Decodes the kind bits. A table load, not a `match`, so the compiler
+/// keeps one value it can test for writes, instead of splitting the
+/// simulators' read path into a poorly predicted fetch-or-read branch.
+/// Bit pattern 3 is never written.
+const KIND_BY_BITS: [AccessKind; 4] = [
+    AccessKind::InstructionFetch,
+    AccessKind::Read,
+    AccessKind::Write,
+    AccessKind::Write,
+];
+const ADDR_LIMIT: u64 = 1 << ADDR_BITS;
+
 /// One memory reference of a program address trace.
 ///
 /// A reference is a byte [address](Addr), a size in bytes (the width of the
 /// access as seen on the memory interface), and a [kind](AccessKind).
 ///
+/// # Layout
+///
+/// An access is one `u64`, `[addr: 54 bits][size: 8 bits][kind: 2 bits]`
+/// from the most significant bit down, so a resident trace costs 8 bytes
+/// per reference and every simulator kernel streams 8 bytes per reference.
+/// The address must be below `2^`[`ADDR_BITS`]: [`MemoryAccess::new`]
+/// panics on a wider one and [`MemoryAccess::try_new`] returns `None`; an
+/// address is never silently truncated. The size keeps all 8 bits so every
+/// size the text and binary trace formats can carry round-trips.
+///
 /// ```
 /// use smith85_trace::{AccessKind, Addr, MemoryAccess};
 ///
 /// let acc = MemoryAccess::read(Addr::new(0x100), 8);
-/// assert_eq!(acc.kind, AccessKind::Read);
-/// assert_eq!(acc.size, 8);
+/// assert_eq!(acc.kind(), AccessKind::Read);
+/// assert_eq!(acc.size(), 8);
+/// assert_eq!(std::mem::size_of::<MemoryAccess>(), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct MemoryAccess {
-    /// The virtual byte address referenced.
-    pub addr: Addr,
-    /// The number of bytes transferred by this reference (1-16 in practice).
-    pub size: u8,
-    /// Whether this is an instruction fetch, a read or a write.
-    pub kind: AccessKind,
-}
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct MemoryAccess(u64);
+
+const _: () = assert!(std::mem::size_of::<MemoryAccess>() == 8);
 
 impl MemoryAccess {
     /// Creates an access of the given kind.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build, if `addr` is not below `2^`[`ADDR_BITS`].
     pub const fn new(kind: AccessKind, addr: Addr, size: u8) -> Self {
-        MemoryAccess { addr, size, kind }
+        match Self::try_new(kind, addr, size) {
+            Some(access) => access,
+            None => panic!("address is not below 2^ADDR_BITS, the widest a MemoryAccess holds"),
+        }
+    }
+
+    /// Creates an access of the given kind, or `None` if `addr` is not
+    /// below `2^`[`ADDR_BITS`].
+    pub const fn try_new(kind: AccessKind, addr: Addr, size: u8) -> Option<Self> {
+        if addr.get() >= ADDR_LIMIT {
+            return None;
+        }
+        Some(MemoryAccess(
+            addr.get() << ADDR_SHIFT | (size as u64) << SIZE_SHIFT | kind.index() as u64,
+        ))
     }
 
     /// Creates an instruction fetch.
+    ///
+    /// # Panics
+    ///
+    /// As [`MemoryAccess::new`].
     pub const fn ifetch(addr: Addr, size: u8) -> Self {
         Self::new(AccessKind::InstructionFetch, addr, size)
     }
 
     /// Creates a data read.
+    ///
+    /// # Panics
+    ///
+    /// As [`MemoryAccess::new`].
     pub const fn read(addr: Addr, size: u8) -> Self {
         Self::new(AccessKind::Read, addr, size)
     }
 
     /// Creates a data write.
+    ///
+    /// # Panics
+    ///
+    /// As [`MemoryAccess::new`].
     pub const fn write(addr: Addr, size: u8) -> Self {
         Self::new(AccessKind::Write, addr, size)
+    }
+
+    /// The virtual byte address referenced.
+    #[inline]
+    pub const fn addr(self) -> Addr {
+        Addr::new(self.0 >> ADDR_SHIFT)
+    }
+
+    /// The number of bytes transferred by this reference (1-16 in practice).
+    #[inline]
+    pub const fn size(self) -> u8 {
+        (self.0 >> SIZE_SHIFT) as u8
+    }
+
+    /// Whether this is an instruction fetch, a read or a write.
+    #[inline]
+    pub const fn kind(self) -> AccessKind {
+        KIND_BY_BITS[(self.0 & KIND_MASK) as usize]
+    }
+
+    /// Returns a copy of this access with its address replaced.
+    ///
+    /// # Panics
+    ///
+    /// As [`MemoryAccess::new`].
+    #[must_use]
+    pub const fn with_addr(self, addr: Addr) -> Self {
+        Self::new(self.kind(), addr, self.size())
+    }
+
+    /// Returns a copy of this access with its kind replaced.
+    #[must_use]
+    pub const fn with_kind(self, kind: AccessKind) -> Self {
+        MemoryAccess(self.0 & !KIND_MASK | kind.index() as u64)
     }
 
     /// The line this access falls in, for the given line size.
@@ -252,24 +347,45 @@ impl MemoryAccess {
     /// Accesses are assumed not to straddle line boundaries; the synthetic
     /// generators align references so this holds, matching the behaviour of
     /// the paper's trace mechanisms which record one address per reference.
+    #[inline]
     pub fn line(&self, line_size: usize) -> LineAddr {
-        self.addr.line(line_size)
+        self.addr().line(line_size)
     }
 
     /// Returns a copy of this access relocated by `offset` bytes.
     ///
     /// Used by the multiprogramming mixer to place each program of a mix in
     /// a disjoint address-space slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build, if the relocated address is not below
+    /// `2^`[`ADDR_BITS`].
     #[must_use]
-    pub fn relocated(mut self, offset: u64) -> Self {
-        self.addr = self.addr.wrapping_add(offset);
-        self
+    pub fn relocated(self, offset: u64) -> Self {
+        self.with_addr(self.addr().wrapping_add(offset))
+    }
+}
+
+impl fmt::Debug for MemoryAccess {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MemoryAccess")
+            .field("addr", &self.addr())
+            .field("size", &self.size())
+            .field("kind", &self.kind())
+            .finish()
     }
 }
 
 impl fmt::Display for MemoryAccess {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {:#x} {}", self.kind.mnemonic(), self.addr, self.size)
+        write!(
+            f,
+            "{} {:#x} {}",
+            self.kind().mnemonic(),
+            self.addr(),
+            self.size()
+        )
     }
 }
 
@@ -324,8 +440,85 @@ mod tests {
     #[test]
     fn relocation_moves_address() {
         let acc = MemoryAccess::write(Addr::new(0x100), 4).relocated(0x1000);
-        assert_eq!(acc.addr, Addr::new(0x1100));
-        assert_eq!(acc.kind, AccessKind::Write);
+        assert_eq!(acc.addr(), Addr::new(0x1100));
+        assert_eq!(acc.kind(), AccessKind::Write);
+    }
+
+    /// Addresses the layout must hold exactly: the edges, the top of the
+    /// workspace's generated range, and seeded random values below the limit.
+    fn layout_addresses() -> Vec<u64> {
+        let mut addrs = vec![0, 1, 1 << 47, (1 << ADDR_BITS) - 1];
+        let mut state = 85u64;
+        for _ in 0..64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            addrs.push(state >> (u64::BITS - ADDR_BITS));
+        }
+        addrs
+    }
+
+    #[test]
+    fn packed_fields_read_back_exactly() {
+        for kind in AccessKind::ALL {
+            for size in 0..=u8::MAX {
+                for &raw in &layout_addresses() {
+                    let acc = MemoryAccess::new(kind, Addr::new(raw), size);
+                    assert_eq!(
+                        (acc.kind(), acc.addr(), acc.size()),
+                        (kind, Addr::new(raw), size)
+                    );
+                    assert_eq!(MemoryAccess::try_new(kind, Addr::new(raw), size), Some(acc));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn setters_replace_one_field() {
+        let acc = MemoryAccess::read(Addr::new(0x1234), 255);
+        let moved = acc.with_addr(Addr::new((1 << ADDR_BITS) - 1));
+        assert_eq!(
+            moved,
+            MemoryAccess::read(Addr::new((1 << ADDR_BITS) - 1), 255)
+        );
+        for kind in AccessKind::ALL {
+            assert_eq!(
+                acc.with_kind(kind),
+                MemoryAccess::new(kind, Addr::new(0x1234), 255)
+            );
+        }
+    }
+
+    #[test]
+    fn addresses_beyond_addr_bits_are_refused() {
+        for raw in [1 << ADDR_BITS, u64::MAX] {
+            assert_eq!(
+                MemoryAccess::try_new(AccessKind::Read, Addr::new(raw), 4),
+                None
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not below 2^ADDR_BITS")]
+    fn new_panics_beyond_addr_bits() {
+        let _ = MemoryAccess::ifetch(Addr::new(1 << ADDR_BITS), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "not below 2^ADDR_BITS")]
+    fn relocation_past_addr_bits_panics() {
+        let _ = MemoryAccess::read(Addr::new((1 << ADDR_BITS) - 4), 4).relocated(4);
+    }
+
+    #[test]
+    fn debug_form_names_the_fields() {
+        let acc = MemoryAccess::ifetch(Addr::new(0x40), 4);
+        assert_eq!(
+            format!("{acc:?}"),
+            "MemoryAccess { addr: Addr(64), size: 4, kind: InstructionFetch }"
+        );
     }
 
     #[test]

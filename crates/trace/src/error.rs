@@ -1,5 +1,6 @@
 //! Error types for trace parsing and I/O.
 
+use crate::{Addr, ADDR_BITS};
 use std::error::Error;
 use std::fmt;
 use std::io;
@@ -73,6 +74,15 @@ pub enum TraceIoError {
         /// The size byte found.
         found: u8,
     },
+    /// A binary record carried an address a
+    /// [`MemoryAccess`](crate::MemoryAccess) cannot hold (not below
+    /// `2^`[`ADDR_BITS`](crate::ADDR_BITS)).
+    AddrOutOfRange {
+        /// 1-based index of the offending record.
+        record: u64,
+        /// The address found.
+        addr: Addr,
+    },
 }
 
 impl fmt::Display for TraceIoError {
@@ -99,6 +109,10 @@ impl fmt::Display for TraceIoError {
                 f,
                 "binary trace record {record}: bad access size {found}"
             ),
+            TraceIoError::AddrOutOfRange { record, addr } => write!(
+                f,
+                "binary trace record {record}: address {addr} does not fit in {ADDR_BITS} bits"
+            ),
         }
     }
 }
@@ -111,7 +125,8 @@ impl Error for TraceIoError {
             TraceIoError::BadHeader { .. }
             | TraceIoError::Truncated { .. }
             | TraceIoError::BadKind { .. }
-            | TraceIoError::BadSize { .. } => None,
+            | TraceIoError::BadSize { .. }
+            | TraceIoError::AddrOutOfRange { .. } => None,
         }
     }
 }

@@ -24,7 +24,7 @@
 //! assert!(!corrupted.is_empty());
 //! ```
 
-use crate::MemoryAccess;
+use crate::{Addr, MemoryAccess, ADDR_BITS};
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -47,7 +47,8 @@ pub struct FaultConfig {
     pub drop_rate: f64,
     /// Probability that a reference is emitted twice.
     pub duplicate_rate: f64,
-    /// Probability that one random address bit is flipped.
+    /// Probability that one random address bit is flipped (one of the
+    /// low [`ADDR_BITS`], so the corrupted access stays representable).
     pub bit_flip_rate: f64,
 }
 
@@ -192,8 +193,8 @@ where
                 continue;
             }
             if self.roll(self.config.bit_flip_rate) {
-                let bit = self.next_u64() % u64::BITS as u64;
-                access.addr = crate::Addr::new(access.addr.get() ^ (1 << bit));
+                let bit = self.next_u64() % u64::from(ADDR_BITS);
+                access = access.with_addr(Addr::new(access.addr().get() ^ (1 << bit)));
                 self.stats.bit_flipped += 1;
             }
             if self.roll(self.config.duplicate_rate) {
@@ -311,7 +312,6 @@ impl DiskFaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Addr;
 
     fn clean(n: u64) -> impl Iterator<Item = MemoryAccess> + Clone {
         (0..n).map(|i| MemoryAccess::read(Addr::new(0x1000 + i * 4), 4))
@@ -368,8 +368,22 @@ mod tests {
         assert!(out
             .iter()
             .zip(clean(100))
-            .all(|(corrupt, orig)| corrupt.addr != orig.addr));
+            .all(|(corrupt, orig)| corrupt.addr() != orig.addr()));
         assert_eq!(inj.stats().bit_flipped, 100);
+    }
+
+    #[test]
+    fn flipped_addresses_stay_representable() {
+        let flip_all = FaultConfig {
+            bit_flip_rate: 1.0,
+            ..FaultConfig::NONE
+        };
+        let high = (0..2000u64).map(|i| MemoryAccess::read(Addr::new(0x4000_0000_0000 + i * 8), 8));
+        let corrupted: crate::Trace = FaultInjector::new(high, 9, flip_all).unwrap().collect();
+        assert_eq!(corrupted.len(), 2000);
+        let mut buf = Vec::new();
+        crate::io::write_binary(&mut buf, &corrupted).unwrap();
+        assert_eq!(crate::io::read_binary(buf.as_slice()).unwrap(), corrupted);
     }
 
     #[test]

@@ -73,9 +73,9 @@ impl<I: Iterator<Item = MemoryAccess>> InterfaceAdapter<I> {
 
     fn expand(&mut self, access: MemoryAccess) {
         let width = self.spec.width_bytes as u64;
-        let first = access.addr.get() / width;
-        let last = (access.addr.get() + access.size.max(1) as u64 - 1) / width;
-        let remembered = if access.kind.is_ifetch() {
+        let first = access.addr().get() / width;
+        let last = (access.addr().get() + access.size().max(1) as u64 - 1) / width;
+        let remembered = if access.kind().is_ifetch() {
             &mut self.last_instr_unit
         } else {
             &mut self.last_data_unit
@@ -83,14 +83,14 @@ impl<I: Iterator<Item = MemoryAccess>> InterfaceAdapter<I> {
         for unit in first..=last {
             // Writes always reach memory; reads/fetches can be absorbed by
             // a remembering interface.
-            if !access.kind.is_write() && self.spec.remembers && *remembered == Some(unit) {
+            if !access.kind().is_write() && self.spec.remembers && *remembered == Some(unit) {
                 continue;
             }
-            if !access.kind.is_write() {
+            if !access.kind().is_write() {
                 *remembered = Some(unit);
             }
             self.pending.push_back(MemoryAccess::new(
-                access.kind,
+                access.kind(),
                 Addr::new(unit * width),
                 self.spec.width_bytes,
             ));
@@ -147,9 +147,9 @@ mod tests {
         let one = std::iter::once(ifetch(0x106, 4)); // crosses an 8-byte boundary
         let out: Vec<_> = InterfaceAdapter::new(one, InterfaceSpec::new(8, false)).collect();
         assert_eq!(out.len(), 2);
-        assert_eq!(out[0].addr, Addr::new(0x100));
-        assert_eq!(out[1].addr, Addr::new(0x108));
-        assert!(out.iter().all(|a| a.size == 8));
+        assert_eq!(out[0].addr(), Addr::new(0x100));
+        assert_eq!(out[1].addr(), Addr::new(0x108));
+        assert!(out.iter().all(|a| a.size() == 8));
     }
 
     #[test]
@@ -171,8 +171,8 @@ mod tests {
         let out: Vec<_> = InterfaceAdapter::new(stream, InterfaceSpec::new(8, true)).collect();
         // ifetch fetches, read fetches (its own path), second ifetch absorbed.
         assert_eq!(out.len(), 2);
-        assert_eq!(out[0].kind, AccessKind::InstructionFetch);
-        assert_eq!(out[1].kind, AccessKind::Read);
+        assert_eq!(out[0].kind(), AccessKind::InstructionFetch);
+        assert_eq!(out[1].kind(), AccessKind::Read);
     }
 
     #[test]

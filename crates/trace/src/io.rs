@@ -25,7 +25,7 @@
 //! ```
 
 use crate::error::{ParseTraceError, TraceIoError};
-use crate::{AccessKind, Addr, MemoryAccess, Trace};
+use crate::{AccessKind, Addr, MemoryAccess, Trace, ADDR_BITS};
 use std::io::{BufRead, BufReader, Read, Write};
 
 /// Magic bytes opening a binary trace.
@@ -49,9 +49,9 @@ pub fn write_text<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoError>
         writeln!(
             w,
             "{} {:x} {}",
-            access.kind.mnemonic(),
-            access.addr,
-            access.size
+            access.kind().mnemonic(),
+            access.addr(),
+            access.size()
         )?;
     }
     Ok(())
@@ -68,12 +68,12 @@ pub fn write_text<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoError>
 /// Returns an error if the underlying writer fails.
 pub fn write_dinero<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoError> {
     for access in trace {
-        let label = match access.kind {
+        let label = match access.kind() {
             AccessKind::Read => 0,
             AccessKind::Write => 1,
             AccessKind::InstructionFetch => 2,
         };
-        writeln!(w, "{} {:x}", label, access.addr)?;
+        writeln!(w, "{} {:x}", label, access.addr())?;
     }
     Ok(())
 }
@@ -128,7 +128,12 @@ fn parse_line(line: &str, lineno: u64) -> Result<MemoryAccess, ParseTraceError> 
             format!("access size must be in 1..={MAX_ACCESS_SIZE}, got {size}"),
         ));
     }
-    Ok(MemoryAccess::new(kind, Addr::new(addr), size))
+    MemoryAccess::try_new(kind, Addr::new(addr), size).ok_or_else(|| {
+        ParseTraceError::new(
+            lineno,
+            format!("address {addr:#x} does not fit in {ADDR_BITS} bits"),
+        )
+    })
 }
 
 fn parse_kind(tok: &str) -> Option<AccessKind> {
@@ -150,9 +155,9 @@ pub fn write_binary<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoErro
     w.write_all(&[BINARY_VERSION, 0, 0, 0])?;
     for access in trace {
         let mut rec = [0u8; 10];
-        rec[0] = access.kind.index() as u8;
-        rec[1] = access.size;
-        rec[2..].copy_from_slice(&access.addr.get().to_le_bytes());
+        rec[0] = access.kind().index() as u8;
+        rec[1] = access.size();
+        rec[2..].copy_from_slice(&access.addr().get().to_le_bytes());
         w.write_all(&rec)?;
     }
     Ok(())
@@ -169,7 +174,9 @@ pub fn write_binary<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoErro
 ///   than a record): [`TraceIoError::Truncated`],
 /// * a kind byte outside `0..=2`: [`TraceIoError::BadKind`],
 /// * a zero or larger-than-[`MAX_ACCESS_SIZE`] size byte:
-///   [`TraceIoError::BadSize`].
+///   [`TraceIoError::BadSize`],
+/// * an address not below `2^`[`ADDR_BITS`], which a [`MemoryAccess`]
+///   cannot hold: [`TraceIoError::AddrOutOfRange`].
 ///
 /// # Errors
 ///
@@ -220,8 +227,10 @@ pub fn read_binary<R: Read>(mut r: R) -> Result<Trace, TraceIoError> {
         }
         let mut addr_bytes = [0u8; 8];
         addr_bytes.copy_from_slice(&rec[2..]);
-        let addr = u64::from_le_bytes(addr_bytes);
-        trace.push(MemoryAccess::new(kind, Addr::new(addr), size));
+        let addr = Addr::new(u64::from_le_bytes(addr_bytes));
+        let access = MemoryAccess::try_new(kind, addr, size)
+            .ok_or(TraceIoError::AddrOutOfRange { record: n, addr })?;
+        trace.push(access);
     }
     Ok(trace)
 }
@@ -273,10 +282,10 @@ mod tests {
         let text = "# a comment\n\n2 40\n0 100 4\n1 104 4\n";
         let t = read_text(text.as_bytes()).unwrap();
         assert_eq!(t.len(), 3);
-        assert_eq!(t.as_slice()[0].kind, AccessKind::InstructionFetch);
-        assert_eq!(t.as_slice()[0].size, 4); // defaulted
-        assert_eq!(t.as_slice()[1].kind, AccessKind::Read);
-        assert_eq!(t.as_slice()[2].kind, AccessKind::Write);
+        assert_eq!(t.as_slice()[0].kind(), AccessKind::InstructionFetch);
+        assert_eq!(t.as_slice()[0].size(), 4); // defaulted
+        assert_eq!(t.as_slice()[1].kind(), AccessKind::Read);
+        assert_eq!(t.as_slice()[2].kind(), AccessKind::Write);
     }
 
     #[test]
@@ -289,16 +298,16 @@ mod tests {
         let back = read_text(buf.as_slice()).unwrap();
         assert_eq!(back.len(), sample().len());
         for (a, b) in back.iter().zip(sample().iter()) {
-            assert_eq!(a.kind, b.kind);
-            assert_eq!(a.addr, b.addr);
-            assert_eq!(a.size, 4); // sizes defaulted
+            assert_eq!(a.kind(), b.kind());
+            assert_eq!(a.addr(), b.addr());
+            assert_eq!(a.size(), 4); // sizes defaulted
         }
     }
 
     #[test]
     fn text_accepts_0x_prefix() {
         let t = read_text("I 0xff 4\n".as_bytes()).unwrap();
-        assert_eq!(t.as_slice()[0].addr, Addr::new(0xff));
+        assert_eq!(t.as_slice()[0].addr(), Addr::new(0xff));
     }
 
     #[test]
@@ -404,6 +413,72 @@ mod tests {
             let mut flipped = buf.clone();
             flipped[len] ^= 0xff;
             let _ = read_binary(flipped.as_slice());
+        }
+    }
+
+    /// A binary trace as written before `MemoryAccess` became one packed
+    /// word: every kind, sizes 1 to 64, and addresses up to `2^54 - 1`.
+    const PRE_PACKING_BINARY: &[u8] = b"S85T\x01\x00\x00\x00\
+        \x00\x04\x40\x00\x00\x00\x00\x00\x00\x00\
+        \x01\x08\xef\xbe\xad\xde\x00\x00\x00\x00\
+        \x02\x01\x00\x00\x00\x00\x00\x00\x00\x00\
+        \x01\x10\x34\x12\x00\x00\x00\x40\x00\x00\
+        \x00\x40\xff\xff\xff\xff\xff\xff\x3f\x00";
+
+    #[test]
+    fn binary_format_is_unchanged_by_the_packed_layout() {
+        let expected: Trace = vec![
+            MemoryAccess::ifetch(Addr::new(0x40), 4),
+            MemoryAccess::read(Addr::new(0xdead_beef), 8),
+            MemoryAccess::write(Addr::new(0), 1),
+            MemoryAccess::read(Addr::new(0x4000_0000_1234), 16),
+            MemoryAccess::ifetch(Addr::new((1 << ADDR_BITS) - 1), 64),
+        ]
+        .into();
+        assert_eq!(read_binary(PRE_PACKING_BINARY).unwrap(), expected);
+        let mut buf = Vec::new();
+        write_binary(&mut buf, &expected).unwrap();
+        assert_eq!(buf, PRE_PACKING_BINARY);
+    }
+
+    #[test]
+    fn widest_address_round_trips_both_formats() {
+        let widest: Trace = vec![MemoryAccess::write(Addr::new((1 << ADDR_BITS) - 1), 8)].into();
+        let mut buf = Vec::new();
+        write_text(&mut buf, &widest).unwrap();
+        assert_eq!(read_text(buf.as_slice()).unwrap(), widest);
+        buf.clear();
+        write_binary(&mut buf, &widest).unwrap();
+        assert_eq!(read_binary(buf.as_slice()).unwrap(), widest);
+    }
+
+    #[test]
+    fn text_rejects_an_address_wider_than_addr_bits_with_line_number() {
+        for addr in [1u64 << ADDR_BITS, u64::MAX] {
+            let text = format!("I 40 4\nR {addr:x} 4\n");
+            match read_text(text.as_bytes()).unwrap_err() {
+                TraceIoError::Parse(err) => {
+                    assert_eq!(err.line(), 2);
+                    assert!(err.message().contains("54 bits"), "{err}");
+                }
+                other => panic!("expected a parse error, got {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn binary_rejects_an_address_wider_than_addr_bits() {
+        let mut buf = Vec::new();
+        write_binary(&mut buf, &sample()).unwrap();
+        for addr in [1u64 << ADDR_BITS, u64::MAX] {
+            // Address bytes of the second record.
+            buf[20..28].copy_from_slice(&addr.to_le_bytes());
+            let err = read_binary(buf.as_slice()).unwrap_err();
+            assert!(
+                matches!(err, TraceIoError::AddrOutOfRange { record: 2, addr: a } if a.get() == addr),
+                "{err}"
+            );
+            assert!(err.to_string().contains("record 2"), "{err}");
         }
     }
 

@@ -47,7 +47,7 @@ pub mod stats;
 pub mod stream;
 mod trace_buf;
 
-pub use access::{AccessKind, Addr, LineAddr, MemoryAccess};
+pub use access::{AccessKind, Addr, LineAddr, MemoryAccess, ADDR_BITS};
 pub use arch::{InterfaceSpec, MachineArch};
 pub use error::{ParseTraceError, TraceIoError};
 pub use language::SourceLanguage;

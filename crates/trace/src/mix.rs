@@ -28,7 +28,7 @@ pub const DEFAULT_ADDRESS_STRIDE: u64 = 1 << 40;
 /// let a: Vec<_> = (0..4u64).map(|i| MemoryAccess::ifetch(Addr::new(i * 4), 4)).collect();
 /// let b: Vec<_> = (0..4u64).map(|i| MemoryAccess::read(Addr::new(i * 8), 4)).collect();
 /// let mix = RoundRobinMix::new(vec![a.into_iter(), b.into_iter()], 2);
-/// let kinds: Vec<_> = mix.map(|acc| acc.kind.mnemonic()).collect();
+/// let kinds: Vec<_> = mix.map(|acc| acc.kind().mnemonic()).collect();
 /// assert_eq!(kinds, vec!['I', 'I', 'R', 'R', 'I', 'I', 'R', 'R']);
 /// ```
 #[derive(Debug, Clone)]
@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn members_get_disjoint_address_slices() {
         let mix = RoundRobinMix::new(vec![reads(3, 0), reads(3, 0)], 1);
-        let addrs: Vec<u64> = mix.map(|a| a.addr.get()).collect();
+        let addrs: Vec<u64> = mix.map(|a| a.addr().get()).collect();
         // Alternating quanta of 1 ref: slices 0 and 1<<40.
         assert_eq!(
             addrs,
@@ -196,7 +196,7 @@ mod tests {
     #[test]
     fn single_member_mix_is_identity_modulo_offset() {
         let mix = RoundRobinMix::new(vec![reads(5, 10)], 2);
-        let addrs: Vec<u64> = mix.map(|a| a.addr.get()).collect();
+        let addrs: Vec<u64> = mix.map(|a| a.addr().get()).collect();
         assert_eq!(addrs, vec![10, 11, 12, 13, 14]);
     }
 

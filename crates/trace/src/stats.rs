@@ -79,7 +79,7 @@ impl TraceCharacterizer {
 
     /// Records one access.
     pub fn observe(&mut self, access: MemoryAccess) {
-        self.counts[access.kind.index()] += 1;
+        self.counts[access.kind().index()] += 1;
         // Stride bookkeeping for the sequentiality/repeat statistics the
         // non-CPU families are characterized by: an access is
         // *sequential* when it continues the previous positive stride
@@ -87,7 +87,7 @@ impl TraceCharacterizer {
         // *repeat* when it re-references the previous address exactly
         // (a network packet train).
         if let Some(prev) = self.last_addr {
-            let delta = access.addr.get().wrapping_sub(prev) as i64;
+            let delta = access.addr().get().wrapping_sub(prev) as i64;
             if delta == 0 {
                 self.repeats += 1;
             } else if delta > 0 && delta == self.last_delta {
@@ -95,18 +95,18 @@ impl TraceCharacterizer {
             }
             self.last_delta = delta;
         }
-        self.last_addr = Some(access.addr.get());
+        self.last_addr = Some(access.addr().get());
         let line = access.line(self.line_size).get();
-        match access.kind {
+        match access.kind() {
             AccessKind::InstructionFetch => {
                 self.ilines.insert(line);
                 if let Some(prev) = self.last_ifetch {
-                    let delta = access.addr.get().wrapping_sub(prev) as i64;
+                    let delta = access.addr().get().wrapping_sub(prev) as i64;
                     if !(0..=BRANCH_FORWARD_WINDOW).contains(&delta) {
                         self.branches += 1;
                     }
                 }
-                self.last_ifetch = Some(access.addr.get());
+                self.last_ifetch = Some(access.addr().get());
             }
             AccessKind::Read | AccessKind::Write => {
                 self.dlines.insert(line);

@@ -20,7 +20,7 @@ use crate::{MemoryAccess, Trace};
 ///     .relocated(0x1000)
 ///     .materialize(2);
 /// assert_eq!(trace.len(), 2);
-/// assert_eq!(trace.as_slice()[0].addr, Addr::new(0x1000));
+/// assert_eq!(trace.as_slice()[0].addr(), Addr::new(0x1000));
 /// ```
 pub trait StreamExt: Iterator<Item = MemoryAccess> + Sized {
     /// Shifts every access by `offset` bytes (used to give each program of
@@ -77,11 +77,12 @@ impl<I: Iterator<Item = MemoryAccess>> Iterator for MonitorM68000<I> {
     type Item = MemoryAccess;
 
     fn next(&mut self) -> Option<MemoryAccess> {
-        self.inner.next().map(|mut a| {
-            if a.kind == crate::AccessKind::Read {
-                a.kind = crate::AccessKind::InstructionFetch;
+        self.inner.next().map(|a| {
+            if a.kind() == crate::AccessKind::Read {
+                a.with_kind(crate::AccessKind::InstructionFetch)
+            } else {
+                a
             }
-            a
         })
     }
 
@@ -99,9 +100,9 @@ mod tests {
     fn relocated_preserves_kind_and_size() {
         let acc = MemoryAccess::write(Addr::new(8), 2);
         let out: Vec<_> = std::iter::once(acc).relocated(0x100).collect();
-        assert_eq!(out[0].addr, Addr::new(0x108));
-        assert_eq!(out[0].size, 2);
-        assert_eq!(out[0].kind, acc.kind);
+        assert_eq!(out[0].addr(), Addr::new(0x108));
+        assert_eq!(out[0].size(), 2);
+        assert_eq!(out[0].kind(), acc.kind());
     }
 
     #[test]
@@ -121,11 +122,11 @@ mod tests {
             MemoryAccess::write(Addr::new(0x200), 2),
         ];
         let out: Vec<_> = stream.into_iter().monitor_m68000().collect();
-        assert_eq!(out[0].kind, AccessKind::InstructionFetch);
-        assert_eq!(out[1].kind, AccessKind::InstructionFetch);
-        assert_eq!(out[2].kind, AccessKind::Write);
+        assert_eq!(out[0].kind(), AccessKind::InstructionFetch);
+        assert_eq!(out[1].kind(), AccessKind::InstructionFetch);
+        assert_eq!(out[2].kind(), AccessKind::Write);
         // Addresses and sizes untouched.
-        assert_eq!(out[1].addr, Addr::new(0x100));
+        assert_eq!(out[1].addr(), Addr::new(0x100));
     }
 
     #[test]

@@ -156,7 +156,7 @@ mod tests {
         let mut t = sample();
         t.truncate(2);
         assert_eq!(t.len(), 2);
-        assert!(t.iter().all(|a| a.kind.is_ifetch()));
+        assert!(t.iter().all(|a| a.kind().is_ifetch()));
         t.truncate(100); // longer than the trace: no-op
         assert_eq!(t.len(), 2);
     }

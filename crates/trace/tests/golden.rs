@@ -32,5 +32,5 @@ fn fixture_roundtrips_to_binary() {
     write_binary(&mut bin, &trace).unwrap();
     let back = read_binary(bin.as_slice()).unwrap();
     assert_eq!(back, trace);
-    assert_eq!(back.as_slice()[4].kind, AccessKind::Write);
+    assert_eq!(back.as_slice()[4].kind(), AccessKind::Write);
 }

@@ -36,7 +36,7 @@ proptest! {
         prop_assert_eq!(s.total_refs(), accs.len() as u64);
         prop_assert_eq!(
             s.ifetches(),
-            accs.iter().filter(|a| a.kind.is_ifetch()).count() as u64
+            accs.iter().filter(|a| a.kind().is_ifetch()).count() as u64
         );
         prop_assert!(s.instruction_lines() <= s.ifetches());
         prop_assert!(s.data_lines() <= s.reads() + s.writes());
@@ -59,12 +59,12 @@ proptest! {
         const STRIDE: u64 = 1 << 40;
         let from_a: Vec<MemoryAccess> = out
             .iter()
-            .filter(|x| x.addr.get() < STRIDE)
+            .filter(|x| x.addr().get() < STRIDE)
             .copied()
             .collect();
         let from_b: Vec<MemoryAccess> = out
             .iter()
-            .filter(|x| x.addr.get() >= STRIDE)
+            .filter(|x| x.addr().get() >= STRIDE)
             .map(|x| x.relocated(0u64.wrapping_sub(STRIDE)))
             .collect();
         // Order within each member is preserved.
@@ -86,8 +86,8 @@ proptest! {
         let out: Vec<MemoryAccess> =
             InterfaceAdapter::new(accs.iter().copied(), spec).collect();
         for m in &out {
-            prop_assert_eq!(m.addr.get() % width as u64, 0);
-            prop_assert_eq!(m.size, width);
+            prop_assert_eq!(m.addr().get() % width as u64, 0);
+            prop_assert_eq!(m.size(), width);
         }
         // Without memory, the unit count is exact per access.
         if !remembers {
@@ -95,18 +95,18 @@ proptest! {
                 .iter()
                 .map(|a| {
                     let w = width as u64;
-                    let first = a.addr.get() / w;
-                    let last = (a.addr.get() + a.size.max(1) as u64 - 1) / w;
+                    let first = a.addr().get() / w;
+                    let last = (a.addr().get() + a.size().max(1) as u64 - 1) / w;
                     (last - first + 1) as usize
                 })
                 .sum();
             prop_assert_eq!(out.len(), expected);
         } else {
-            prop_assert!(out.len() <= accs.iter().map(|a| a.size as usize).sum::<usize>());
+            prop_assert!(out.len() <= accs.iter().map(|a| a.size() as usize).sum::<usize>());
         }
         // Writes are never absorbed.
-        let writes_in: usize = accs.iter().filter(|a| a.kind.is_write()).count();
-        let writes_out = out.iter().filter(|a| a.kind.is_write()).count();
+        let writes_in: usize = accs.iter().filter(|a| a.kind().is_write()).count();
+        let writes_out = out.iter().filter(|a| a.kind().is_write()).count();
         prop_assert!(writes_out >= writes_in);
     }
 
